@@ -34,6 +34,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,6 +42,7 @@
 #include "asm/parser.hh"
 #include "common/error.hh"
 #include "common/file.hh"
+#include "common/flat_json.hh"
 #include "common/logging.hh"
 #include "engine/engine.hh"
 #include "inject/campaign.hh"
@@ -59,7 +61,7 @@
 #include "sim/json.hh"
 #include "stats/table.hh"
 #include "trace/trace_io.hh"
-#include "trap/controller.hh"
+#include "trap/storm.hh"
 
 using namespace ruu;
 
@@ -209,70 +211,28 @@ resolveWorkloads(const std::string &name)
 {
     if (name == "suite")
         return livermoreWorkloads();
-    for (const auto &workload : livermoreWorkloads())
-        if (workload.name == name)
-            return {workload};
-    AsmResult assembled = assemble(readFile(name), name);
-    if (!assembled.ok()) {
-        for (const auto &error : assembled.errors)
-            std::fprintf(stderr, "%s: %s\n", name.c_str(),
-                         error.toString().c_str());
-        std::exit(2);
-    }
-
-    // Build the workload by hand instead of via makeWorkload: a
-    // user-supplied program that faults or never halts is bad input,
-    // not a simulator bug.
-    Workload workload;
+    if (const Workload *kernel = findLivermoreWorkload(name))
+        return {*kernel};
+    // A program that fails to assemble, faults or never halts is bad
+    // input, not a simulator bug: the daemon's checked builder says so.
+    Expected<Workload> checked =
+        workloadFromSourceChecked(readFile(name), name);
+    if (!checked)
+        cliFail("%s", checked.error().message().c_str());
+    Workload workload = checked.take();
     workload.name = name;
-    workload.program =
-        std::make_shared<Program>(std::move(*assembled.program));
-    workload.func = runFunctional(workload.program);
-    if (workload.func.fault != Fault::None) {
-        cliFail("'%s' faults organically (%s at dynamic instruction "
-                "%llu); it cannot run as a workload",
-                name.c_str(), faultName(workload.func.fault),
-                static_cast<unsigned long long>(workload.func.faultSeq));
-    }
-    if (!workload.func.halted)
-        cliFail("'%s' never reaches HALT", name.c_str());
     return {std::move(workload)};
 }
 
-CoreKind
-parseCore(const std::string &name)
+/** @p name looked up with @p lookup; exit 2 when it names no @p what. */
+template <typename T>
+T
+parseName(std::optional<T> (*lookup)(const std::string &),
+          const char *what, const std::string &name)
 {
-    for (CoreKind kind :
-         {CoreKind::Simple, CoreKind::Tomasulo, CoreKind::Rstu,
-          CoreKind::Ruu, CoreKind::SpecRuu, CoreKind::History}) {
-        if (name == coreKindName(kind))
-            return kind;
-    }
-    cliFail("unknown core '%s'", name.c_str());
-}
-
-BypassMode
-parseBypass(const std::string &name)
-{
-    for (BypassMode mode : {BypassMode::Full, BypassMode::None,
-                            BypassMode::LimitedA,
-                            BypassMode::FutureFile}) {
-        if (name == bypassModeName(mode))
-            return mode;
-    }
-    cliFail("unknown bypass mode '%s'", name.c_str());
-}
-
-PredictorKind
-parsePredictor(const std::string &name)
-{
-    for (PredictorKind kind :
-         {PredictorKind::AlwaysTaken, PredictorKind::AlwaysNotTaken,
-          PredictorKind::Btfn, PredictorKind::Smith2Bit}) {
-        if (name == predictorKindName(kind))
-            return kind;
-    }
-    cliFail("unknown predictor '%s'", name.c_str());
+    if (auto parsed = lookup(name))
+        return *parsed;
+    cliFail("unknown %s '%s'", what, name.c_str());
 }
 
 struct Cli
@@ -337,7 +297,7 @@ parseArgs(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--core") {
-            cli.core = parseCore(value());
+            cli.core = parseName(coreKindFromName, "core", value());
             cli.coreSet = true;
         } else if (arg == "--sweep") {
             cli.interruptSweep = true;
@@ -374,14 +334,17 @@ parseArgs(int argc, char **argv)
             cli.config.counterBits =
                 static_cast<unsigned>(atoi(value().c_str()));
         } else if (arg == "--bypass") {
-            cli.config.bypass = parseBypass(value());
+            cli.config.bypass =
+                parseName(bypassFromName, "bypass mode", value());
         } else if (arg == "--predictor") {
-            cli.config.predictor = parsePredictor(value());
+            cli.config.predictor =
+                parseName(predictorFromName, "predictor", value());
         } else if (arg == "--cores") {
             std::stringstream list(value());
             std::string item;
             while (std::getline(list, item, ','))
-                cli.injectCores.push_back(parseCore(item));
+                cli.injectCores.push_back(
+                    parseName(coreKindFromName, "core", item));
             if (cli.injectCores.empty())
                 usage();
         } else if (arg == "--trials") {
@@ -629,7 +592,7 @@ cmdAnalyze(const Cli &cli)
                 "\"wcirt_core\": \"%s\", \"wcirt\": %llu, "
                 "\"wcirt_cut\": %llu, \"wcirt_segment\": %llu, "
                 "\"wcirt_pct_of_segment\": %.2f}\n",
-                workload.name.c_str(),
+                flat::escape(workload.name).c_str(),
                 workload.trace().records().size(),
                 static_cast<unsigned long long>(bound.cycles),
                 static_cast<unsigned long long>(bound.dataflow.cycles),
@@ -880,22 +843,14 @@ cmdStorm(const Cli &cli)
         usage();
     auto workloads = resolveWorkloads(cli.positional[0]);
 
-    std::vector<CoreKind> kinds = {CoreKind::Simple,  CoreKind::Tomasulo,
-                                   CoreKind::Rstu,    CoreKind::Ruu,
-                                   CoreKind::SpecRuu, CoreKind::History};
+    std::vector<CoreKind> kinds = allCoreKinds();
     if (cli.coreSet)
         kinds = {cli.core};
 
     std::size_t points = cli.pointsSet ? cli.sweepPoints : 4;
     if (points == 0)
         usage();
-    std::vector<Cycle> periods;
-    for (std::size_t i = 0; i < points; ++i) {
-        std::uint64_t k = 16ull << (2 * i);
-        periods.push_back(std::min<std::uint64_t>(k, 10000));
-        if (k >= 10000)
-            break;
-    }
+    const std::vector<Cycle> periods = trap::stormPeriods(points);
 
     TextTable table({"Workload", "Core", "K", "Deliveries", "Hdl mean",
                      "Hdl max", "Cycles", "Degrade%", "WCIRT", "%Ceil",
@@ -905,176 +860,45 @@ cmdStorm(const Cli &cli)
     table.setAlign(0, Align::Left);
     table.setAlign(1, Align::Left);
 
-    // One cell per (workload, core): the cell runs its baseline and
-    // every storm period, and returns fully rendered rows (or JSON
-    // lines). Cells run concurrently on the pool; the reduction below
-    // stitches them back together in (workload, core) order, so the
-    // report is byte-identical to the serial nested loop.
-    struct StormCell
-    {
-        std::vector<std::vector<std::string>> rows;
-        std::vector<std::string> jsonLines;
-        std::string firstFailure; //!< empty: every period checked out
-        std::size_t prunedRuns = 0; //!< periods derived, not simulated
-    };
-
+    // One cell per (workload, core), run concurrently on the pool; the
+    // reduction folds them in (workload, core) order, so the report is
+    // byte-identical to the serial nested loop.
     par::Pool pool(cli.jobs);
-    std::size_t cells = workloads.size() * kinds.size();
-    auto runCell = [&](std::size_t cell, unsigned) -> StormCell {
-        const Workload &workload = workloads[cell / kinds.size()];
-        CoreKind kind = kinds[cell % kinds.size()];
-        StormCell out;
-
-        // A compact data memory makes the per-delivery core restarts
-        // cheap; fall back to the default layout for programs whose
-        // data reaches up into it.
-        trap::TrapConfig tconfig;
-        tconfig.checkOracle = true;
-        Addr maxAddr = 0;
-        for (const auto &record : workload.trace().records())
-            maxAddr = std::max(maxAddr, record.memAddr);
-        for (const auto &init : workload.program->dataInits())
-            maxAddr = std::max(maxAddr, init.addr);
-        if (maxAddr < 0xe000) {
-            tconfig.layout.exchangeBase = 0xf000;
-            tconfig.layout.scratchBase = 0xf800;
-            tconfig.memoryWords = 1u << 16;
-        }
-
-        // Pin the handler program so the controller and the pruning
-        // decision below share one cached WCIRT bound entry.
-        auto handlerProg =
-            std::make_shared<const Program>(trap::counterHandler());
-        tconfig.handler = handlerProg;
-        lint::WcirtParams wparams;
-        wparams.exchangeCycles = tconfig.exchangeCycles;
-        wparams.maxLevels = tconfig.layout.maxLevels;
-        const lint::WcirtBound &bound = lint::cachedWcirtBound(
-            workload.trace(), *handlerProg, cli.config, kind, wparams);
-        const std::uint64_t segCeil = bound.segmentCeiling();
-
-        auto core = makeCore(kind, cli.config);
-        RunResult baseline = core->run(workload.trace());
-
-        for (Cycle period : periods) {
-            // An arrival period past the certified segment ceiling can
-            // never tick before the run completes: the row is derived,
-            // byte-identical to the simulation it skips (--no-prune
-            // forces the run; kWcirtUnbounded never satisfies the >).
-            const bool pruned = !cli.noPrune && period > segCeil;
-            trap::TrapRunResult res;
-            bool good = true;
-            std::string why;
-            if (pruned) {
-                ++out.prunedRuns;
-                res.completed = true;
-                res.cycles = baseline.cycles;
-                res.instructions = baseline.instructions;
-                res.wcirtCeiling = bound.cycles;
-            } else {
-                trap::TrapController controller(*core, tconfig);
-                res = controller.run(
-                    workload.trace(),
-                    trap::InterruptSource::periodic(period, 1));
-
-                good = res.ok();
-                why = res.error;
-                if (good && !res.oracleFailure.empty()) {
-                    good = false;
-                    why = res.oracleFailure;
-                }
-                if (good) {
-                    auto replay = trap::replayFunctional(
-                        workload.program, tconfig, res.deliveries);
-                    if (!replay.ok) {
-                        good = false;
-                        why = replay.error;
-                    } else if (replay.state != res.state ||
-                               replay.memory != res.memory ||
-                               replay.trapRegs != res.trapRegs) {
-                        good = false;
-                        why = "timing run and functional replay "
-                              "disagree on the final state";
-                    }
-                }
-            }
-            const double pctCeil =
-                res.wcirtCeiling
-                    ? 100.0 *
-                          static_cast<double>(res.maxDeliveryLatency) /
-                          static_cast<double>(res.wcirtCeiling)
-                    : 0.0;
-            double degrade =
-                baseline.cycles
-                    ? 100.0 *
-                          (static_cast<double>(res.cycles) -
-                           static_cast<double>(baseline.cycles)) /
-                          static_cast<double>(baseline.cycles)
-                    : 0.0;
-
-            if (cli.json) {
-                out.jsonLines.push_back(detail::vformat(
-                    "{\"workload\": \"%s\", \"core\": \"%s\", "
-                    "\"k\": %llu, \"deliveries\": %zu, "
-                    "\"handler_mean_cycles\": %.2f, "
-                    "\"handler_max_cycles\": %llu, "
-                    "\"cycles\": %llu, \"baseline_cycles\": %llu, "
-                    "\"degradation_pct\": %.2f, \"wcirt\": %llu, "
-                    "\"max_delivery_latency\": %llu, "
-                    "\"pct_ceiling\": %.2f, \"ok\": %s, "
-                    "\"pruned\": %s}",
-                    workload.name.c_str(), coreKindName(kind),
-                    static_cast<unsigned long long>(period),
-                    res.deliveries.size(), res.meanHandlerCycles(),
-                    static_cast<unsigned long long>(
-                        res.maxHandlerCycles()),
-                    static_cast<unsigned long long>(res.cycles),
-                    static_cast<unsigned long long>(baseline.cycles),
-                    degrade,
-                    static_cast<unsigned long long>(res.wcirtCeiling),
-                    static_cast<unsigned long long>(
-                        res.maxDeliveryLatency),
-                    pctCeil, good ? "true" : "false",
-                    pruned ? "true" : "false"));
-            } else {
-                out.rows.push_back(
-                    {workload.name, coreKindName(kind),
-                     TextTable::fmt(std::uint64_t{period}),
-                     TextTable::fmt(
-                         std::uint64_t{res.deliveries.size()}),
-                     TextTable::fmt(res.meanHandlerCycles(), 1),
-                     TextTable::fmt(
-                         std::uint64_t{res.maxHandlerCycles()}),
-                     TextTable::fmt(res.cycles),
-                     TextTable::fmt(degrade, 1),
-                     TextTable::fmt(res.wcirtCeiling),
-                     TextTable::fmt(pctCeil, 1),
-                     good ? "ok" : "FAIL"});
-            }
-            if (!good && out.firstFailure.empty()) {
-                out.firstFailure = workload.name + " on " +
-                                   coreKindName(kind) + " (K=" +
-                                   std::to_string(period) + "): " + why;
-            }
-        }
-        return out;
-    };
-
     bool ok = true;
     std::string firstFailure;
     std::size_t prunedRuns = 0;
-    par::mapReduce<StormCell>(
-        &pool, cells, 0, runCell,
-        [&](int &, StormCell &cell, std::size_t) {
-            for (const std::string &line : cell.jsonLines)
-                std::printf("%s\n", line.c_str());
-            for (auto &row : cell.rows)
-                table.addRow(std::move(row));
-            prunedRuns += cell.prunedRuns;
-            if (!cell.firstFailure.empty()) {
-                ok = false;
-                if (firstFailure.empty())
-                    firstFailure = cell.firstFailure;
+    par::mapReduce<std::vector<trap::StormRow>>(
+        &pool, workloads.size() * kinds.size(), 0,
+        [&](std::size_t cell, unsigned) {
+            return trap::runStormCell(workloads[cell / kinds.size()],
+                                      kinds[cell % kinds.size()],
+                                      cli.config, periods, !cli.noPrune);
+        },
+        [&](int &, std::vector<trap::StormRow> &rows, std::size_t) {
+            for (const trap::StormRow &row : rows) {
+                if (cli.json) {
+                    std::printf("%s\n", trap::stormRowToJson(row).c_str());
+                } else {
+                    table.addRow(
+                        {row.workload, coreKindName(row.core),
+                         TextTable::fmt(row.period),
+                         TextTable::fmt(std::uint64_t{row.deliveries}),
+                         TextTable::fmt(row.handlerMeanCycles, 1),
+                         TextTable::fmt(row.handlerMaxCycles),
+                         TextTable::fmt(row.cycles),
+                         TextTable::fmt(row.degradationPct, 1),
+                         TextTable::fmt(row.wcirt),
+                         TextTable::fmt(row.pctCeiling, 1),
+                         row.ok ? "ok" : "FAIL"});
+                }
+                prunedRuns += row.pruned;
+                if (!row.ok && ok) {
+                    ok = false;
+                    firstFailure = row.workload + " on " +
+                                   coreKindName(row.core) + " (K=" +
+                                   std::to_string(row.period) +
+                                   "): " + row.error;
+                }
             }
         });
     if (!cli.json)
@@ -1137,9 +961,7 @@ cmdInject(const Cli &cli)
     else if (cli.coreSet)
         options.cores = {cli.core};
     else
-        options.cores = {CoreKind::Simple,  CoreKind::Tomasulo,
-                         CoreKind::Rstu,    CoreKind::Ruu,
-                         CoreKind::SpecRuu, CoreKind::History};
+        options.cores = allCoreKinds();
     options.trials = cli.trials;
     options.seed = cli.seed;
     options.timeoutMs = cli.timeoutMs;
@@ -1440,13 +1262,10 @@ submitCampaign(serve::ServeClient &client, const Cli &cli)
 
     std::vector<CoreKind> kinds = cli.injectCores;
     if (kinds.empty()) {
-        if (spec.kind == serve::CampaignKind::Inject) {
-            kinds = {CoreKind::Simple,  CoreKind::Tomasulo,
-                     CoreKind::Rstu,    CoreKind::Ruu,
-                     CoreKind::SpecRuu, CoreKind::History};
-        } else {
+        if (spec.kind == serve::CampaignKind::Inject)
+            kinds = allCoreKinds();
+        else
             kinds = {cli.core};
-        }
     }
     for (CoreKind coreKind : kinds)
         spec.cores.push_back(coreKindName(coreKind));
@@ -1454,17 +1273,11 @@ submitCampaign(serve::ServeClient &client, const Cli &cli)
     if (spec.kind == serve::CampaignKind::Storm) {
         spec.periods = cli.periods;
         if (spec.periods.empty()) {
-            // Mirror `ruusim storm --points`: K = 16*4^i, capped.
+            // The periods `ruusim storm --points` runs.
             std::size_t points = cli.pointsSet ? cli.sweepPoints : 4;
             if (points == 0)
                 usage();
-            for (std::size_t i = 0; i < points; ++i) {
-                std::uint64_t k = 16ull << (2 * i);
-                spec.periods.push_back(
-                    std::min<std::uint64_t>(k, 10000));
-                if (k >= 10000)
-                    break;
-            }
+            spec.periods = trap::stormPeriods(points);
         }
     } else if (!cli.periods.empty()) {
         cliFail("--periods applies to storm campaigns only");

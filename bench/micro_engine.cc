@@ -258,17 +258,13 @@ runAbSweep(const std::string &outPath, double minMs)
     // RUU_ENGINE override would silently time the same engine twice.
     ::unsetenv("RUU_ENGINE");
 
-    constexpr CoreKind kCores[] = {
-        CoreKind::Simple, CoreKind::Tomasulo, CoreKind::Rstu,
-        CoreKind::Ruu,    CoreKind::SpecRuu,  CoreKind::History,
-    };
     constexpr int kRepeats = 3;
 
     const auto &kernels = livermoreWorkloads();
     std::vector<AbRow> rows;
     bool mismatch = false;
     UarchConfig config = UarchConfig::cray1();
-    for (CoreKind kind : kCores) {
+    for (CoreKind kind : allCoreKinds()) {
         auto core = makeCore(kind, config);
         for (const Workload &kernel : kernels) {
             AbRow row;

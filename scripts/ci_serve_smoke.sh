@@ -116,6 +116,27 @@ EOF
 else
     echo "   (python3 unavailable; covered by tests/test_fuzz.cc)"
 fi
+
+echo "== periodic jobs print the 'ruusim storm --json' line, pruned alike"
+# check_storm_line <workload> <period> <points>: the daemon's payload
+# must be byte-equal to the CLI's line for that period.
+check_storm_line() {
+    submit "$1" --core ruu --period "$2" > "$WORKDIR/periodic.json"
+    "$RUUSIM" storm "$1" --core ruu --points "$3" --json -j1 |
+        grep -F "\"k\": $2," > "$WORKDIR/storm.json"
+    if ! cmp -s "$WORKDIR/periodic.json" "$WORKDIR/storm.json"; then
+        echo "periodic job for $1 at K=$2 differs from 'ruusim storm'" >&2
+        diff "$WORKDIR/periodic.json" "$WORKDIR/storm.json" >&2 || true
+        exit 1
+    fi
+}
+check_storm_line lll03 256 3
+# fib.s at K=4096 lies past its certified segment ceiling: pruned.
+check_storm_line "$(dirname "$0")/../examples/programs/fib.s" 4096 6
+if ! grep -q '"pruned": true' "$WORKDIR/periodic.json"; then
+    echo "fib.s at K=4096 should be pruned" >&2
+    exit 1
+fi
 stop_daemon
 
 echo "== SIGKILL mid-batch, restart, resubmit: byte-identical"

@@ -39,4 +39,13 @@ livermoreWorkloads()
     return workloads;
 }
 
+const Workload *
+findLivermoreWorkload(const std::string &name)
+{
+    for (const Workload &workload : livermoreWorkloads())
+        if (workload.name == name)
+            return &workload;
+    return nullptr;
+}
+
 } // namespace ruu

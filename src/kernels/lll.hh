@@ -60,6 +60,13 @@ const std::vector<Kernel> &livermoreKernels();
  */
 const std::vector<Workload> &livermoreWorkloads();
 
+/**
+ * The workload of the built-in kernel named @p name ("lll01" ..
+ * "lll14"), or nullptr when no kernel has that name. The result lives
+ * for the rest of the process.
+ */
+const Workload *findLivermoreWorkload(const std::string &name);
+
 } // namespace ruu
 
 #endif // RUU_KERNELS_LLL_HH

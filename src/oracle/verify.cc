@@ -8,16 +8,6 @@ namespace ruu::oracle
 
 using detail::vformat;
 
-const std::vector<CoreKind> &
-allCoreKinds()
-{
-    static const std::vector<CoreKind> kinds = {
-        CoreKind::Simple, CoreKind::Tomasulo, CoreKind::Rstu,
-        CoreKind::Ruu,    CoreKind::SpecRuu,  CoreKind::History,
-    };
-    return kinds;
-}
-
 namespace
 {
 

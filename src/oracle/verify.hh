@@ -94,9 +94,6 @@ struct VerifyCase
     std::string message;
 };
 
-/** All six issue mechanisms, in the paper's order. */
-const std::vector<CoreKind> &allCoreKinds();
-
 /** Verify @p workload on every core in @p options (default: all six). */
 std::vector<VerifyCase> verifyWorkload(const Workload &workload,
                                        const VerifyOptions &options = {});

@@ -6,38 +6,10 @@
 #include <optional>
 #include <sstream>
 
+#include "common/flat_json.hh"
+
 namespace ruu
 {
-
-namespace
-{
-
-/** Escape a string for a JSON literal (names here are ASCII). */
-std::string
-escape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 configToJson(const UarchConfig &config)
@@ -212,29 +184,6 @@ class ConfigReader
     Error _error;
 };
 
-std::optional<BypassMode>
-bypassFromName(const std::string &name)
-{
-    for (auto mode : {BypassMode::Full, BypassMode::None,
-                      BypassMode::LimitedA, BypassMode::FutureFile}) {
-        if (name == bypassModeName(mode))
-            return mode;
-    }
-    return std::nullopt;
-}
-
-std::optional<PredictorKind>
-predictorFromName(const std::string &name)
-{
-    for (auto kind :
-         {PredictorKind::AlwaysTaken, PredictorKind::AlwaysNotTaken,
-          PredictorKind::Btfn, PredictorKind::Smith2Bit}) {
-        if (name == predictorKindName(kind))
-            return kind;
-    }
-    return std::nullopt;
-}
-
 std::optional<FuKind>
 fuKindFromName(const std::string &name)
 {
@@ -353,8 +302,8 @@ runToJson(const std::string &workload, const std::string &core_name,
 {
     std::ostringstream os;
     os << "{";
-    os << "\"workload\": \"" << escape(workload) << "\"";
-    os << ", \"core\": \"" << escape(core_name) << "\"";
+    os << "\"workload\": \"" << flat::escape(workload) << "\"";
+    os << ", \"core\": \"" << flat::escape(core_name) << "\"";
     os << ", \"cycles\": " << result.cycles;
     os << ", \"instructions\": " << result.instructions;
     os << ", \"issue_rate\": " << result.issueRate();
@@ -368,7 +317,7 @@ runToJson(const std::string &workload, const std::string &core_name,
     os << ", \"counters\": {";
     bool first = true;
     for (const auto &name : stats.counterNames()) {
-        os << (first ? "" : ", ") << "\"" << escape(name)
+        os << (first ? "" : ", ") << "\"" << flat::escape(name)
            << "\": " << stats.value(name);
         first = false;
     }
@@ -376,7 +325,7 @@ runToJson(const std::string &workload, const std::string &core_name,
     first = true;
     for (const auto &name : stats.histogramNames()) {
         const Histogram &histogram = stats.histogramAt(name);
-        os << (first ? "" : ", ") << "\"" << escape(name)
+        os << (first ? "" : ", ") << "\"" << flat::escape(name)
            << "\": {\"mean\": " << histogram.mean()
            << ", \"min\": " << histogram.min()
            << ", \"max\": " << histogram.max()

@@ -29,14 +29,20 @@ coreKindName(CoreKind kind)
 std::optional<CoreKind>
 coreKindFromName(const std::string &name)
 {
-    static const CoreKind kKinds[] = {
-        CoreKind::Simple, CoreKind::Tomasulo, CoreKind::Rstu,
-        CoreKind::Ruu,    CoreKind::SpecRuu,  CoreKind::History,
-    };
-    for (CoreKind kind : kKinds)
+    for (CoreKind kind : allCoreKinds())
         if (name == coreKindName(kind))
             return kind;
     return std::nullopt;
+}
+
+const std::vector<CoreKind> &
+allCoreKinds()
+{
+    static const std::vector<CoreKind> kinds = {
+        CoreKind::Simple, CoreKind::Tomasulo, CoreKind::Rstu,
+        CoreKind::Ruu,    CoreKind::SpecRuu,  CoreKind::History,
+    };
+    return kinds;
 }
 
 std::unique_ptr<Core>

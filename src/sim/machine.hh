@@ -46,6 +46,9 @@ const char *coreKindName(CoreKind kind);
  */
 std::optional<CoreKind> coreKindFromName(const std::string &name);
 
+/** All six issue mechanisms, in the paper's order. */
+const std::vector<CoreKind> &allCoreKinds();
+
 /** Instantiate a core of @p kind with @p config. */
 std::unique_ptr<Core> makeCore(CoreKind kind, const UarchConfig &config);
 

@@ -15,6 +15,17 @@ bypassModeName(BypassMode mode)
     return "?";
 }
 
+std::optional<BypassMode>
+bypassFromName(const std::string &name)
+{
+    for (auto mode : {BypassMode::Full, BypassMode::None,
+                      BypassMode::LimitedA, BypassMode::FutureFile}) {
+        if (name == bypassModeName(mode))
+            return mode;
+    }
+    return std::nullopt;
+}
+
 const char *
 predictorKindName(PredictorKind kind)
 {
@@ -25,6 +36,18 @@ predictorKindName(PredictorKind kind)
       case PredictorKind::Smith2Bit: return "smith_2bit";
     }
     return "?";
+}
+
+std::optional<PredictorKind>
+predictorFromName(const std::string &name)
+{
+    for (auto kind :
+         {PredictorKind::AlwaysTaken, PredictorKind::AlwaysNotTaken,
+          PredictorKind::Btfn, PredictorKind::Smith2Bit}) {
+        if (name == predictorKindName(kind))
+            return kind;
+    }
+    return std::nullopt;
 }
 
 std::string

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "isa/opcode.hh"
@@ -39,6 +40,9 @@ enum class BypassMode : std::uint8_t
 /** Printable bypass-mode name. */
 const char *bypassModeName(BypassMode mode);
 
+/** The BypassMode whose bypassModeName() is @p name, if any. */
+std::optional<BypassMode> bypassFromName(const std::string &name);
+
 /** Branch predictors for the §7 conditional-execution extension. */
 enum class PredictorKind : std::uint8_t
 {
@@ -50,6 +54,9 @@ enum class PredictorKind : std::uint8_t
 
 /** Printable predictor name. */
 const char *predictorKindName(PredictorKind kind);
+
+/** The PredictorKind whose predictorKindName() is @p name, if any. */
+std::optional<PredictorKind> predictorFromName(const std::string &name);
 
 /** All tunables of the modeled machine. */
 struct UarchConfig

@@ -104,7 +104,7 @@ loop:
     EXPECT_EQ(bound.dataflow.cycles, 10u);
     EXPECT_GT(bound.cycles, bound.dataflow.cycles);
 
-    for (CoreKind kind : oracle::allCoreKinds()) {
+    for (CoreKind kind : allCoreKinds()) {
         auto core = makeCore(kind, config);
         RunResult run = core->run(w.trace());
         EXPECT_GE(run.cycles, bound.cycles)
@@ -191,7 +191,7 @@ TEST(ResourceBound, SoundOnKernelsForEveryCore)
         lint::ResourceBound bound =
             lint::resourceBound(w.trace(), UarchConfig::cray1());
         EXPECT_GE(bound.cycles, bound.dataflow.cycles) << w.name;
-        for (CoreKind kind : oracle::allCoreKinds()) {
+        for (CoreKind kind : allCoreKinds()) {
             auto core = makeCore(kind, UarchConfig::cray1());
             RunResult run = core->run(w.trace());
             EXPECT_GE(run.cycles, bound.cycles)

@@ -176,6 +176,37 @@ TEST(CliErrors, StormSmokeRunsClean)
     EXPECT_EQ(runCli("storm lll01 --core ruu --points 2"), 0);
 }
 
+/** The "workload" of the JSON line `ruusim <args>` prints, decoded
+ * by Python's json module; empty when the line does not parse. */
+std::string
+jsonWorkload(const std::string &args)
+{
+    std::string cmd = std::string(kBinary) + " " + args +
+                      " 2>/dev/null | python3 -c \"import json, sys; "
+                      "print(json.loads(sys.stdin.readline())"
+                      "['workload'])\" 2>/dev/null";
+    FILE *pipe = ::popen(cmd.c_str(), "r");
+    if (!pipe)
+        return "";
+    std::string out;
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), pipe))
+        out += buf;
+    ::pclose(pipe);
+    return out;
+}
+
+TEST(CliErrors, JsonLinesEscapeTheFileName)
+{
+    REQUIRE_BINARY();
+    if (std::system("python3 -c pass >/dev/null 2>&1") != 0)
+        GTEST_SKIP() << "python3 not available";
+    writeFile("q\"x.s", "    amovi A0, 1\n    halt\n");
+    EXPECT_EQ(jsonWorkload("analyze 'q\"x.s' --json"), "q\"x.s\n");
+    EXPECT_EQ(jsonWorkload("storm 'q\"x.s' --core ruu --points 1 --json"),
+              "q\"x.s\n");
+}
+
 TEST(CliErrors, InjectUnknownCoreInListExitsTwo)
 {
     REQUIRE_BINARY();

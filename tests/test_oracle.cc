@@ -399,7 +399,7 @@ TEST(DataflowBound, HoldsForEveryCoreOnKernels)
         lint::DataflowBound bound =
             lint::dataflowBound(w.trace(), UarchConfig::cray1());
         EXPECT_GT(bound.cycles, 0u);
-        for (CoreKind kind : oracle::allCoreKinds()) {
+        for (CoreKind kind : allCoreKinds()) {
             auto core = makeCore(kind, UarchConfig::cray1());
             RunResult run = core->run(w.trace());
             EXPECT_GE(run.cycles, bound.cycles)

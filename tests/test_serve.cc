@@ -36,6 +36,7 @@
 #include "serve/server.hh"
 #include "sim/json.hh"
 #include "sim/machine.hh"
+#include "trap/storm.hh"
 
 namespace ruu
 {
@@ -646,6 +647,54 @@ TEST_F(ServeDirs, DeadlineExpiryClassifiesTheJobNotTheDaemon)
     ASSERT_TRUE(client.request("{\"op\": \"shutdown\"}").ok());
     daemon.join();
     EXPECT_EQ(stats.jobsTimedOut, 1u);
+}
+
+TEST_F(ServeDirs, PeriodicJobIsTheCliStormCellPrunedAlike)
+{
+    // A period past the certified segment ceiling: the daemon derives
+    // the row exactly as `ruusim storm` does. The display name, not
+    // the .program directive, names the workload, as for the CLI.
+    const std::string source = ".program tiny\n"
+                               "  amovi A1, 0\n"
+                               "  amovi A6, 1\n"
+                               "  amovi A5, 4\n"
+                               "loop:\n"
+                               "  aadd A1, A1, A6\n"
+                               "  asub A0, A1, A5\n"
+                               "  jam loop\n"
+                               "  halt\n";
+    Workload workload = workloadFromSource(source);
+    workload.name = "tiny.s";
+    const Cycle period = 10000;
+    trap::StormRow expected = trap::runStormCell(
+        workload, CoreKind::Ruu, UarchConfig::cray1(), {period}, true)[0];
+    ASSERT_TRUE(expected.pruned);
+
+    serve::ServerOptions options;
+    options.socketPath = dir("sock");
+    std::thread daemon([&] {
+        auto result = serve::runServer(options);
+        EXPECT_TRUE(result.ok()) << result.error().message();
+    });
+    serve::ServeClient client;
+    connectClient(client, options.socketPath);
+
+    Request job;
+    job.op = Op::Submit;
+    job.job.id = "periodic";
+    job.job.name = workload.name;
+    job.job.program = source;
+    job.job.period = period;
+    ASSERT_TRUE(client.request(serve::requestToLine(job)).ok());
+    ASSERT_TRUE(client.sendLine("{\"op\": \"run\"}").ok());
+    flat::Object result = readResult(client);
+    EXPECT_EQ(flat::getString(result, "status").value(), "done");
+    EXPECT_EQ(flat::getString(result, "payload").value(),
+              trap::stormRowToJson(expected));
+    readResult(client); // summary
+
+    ASSERT_TRUE(client.request("{\"op\": \"shutdown\"}").ok());
+    daemon.join();
 }
 
 // ---------------------------------------------------------------------

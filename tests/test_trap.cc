@@ -17,10 +17,12 @@
 #include "asm/builder.hh"
 #include "isa/reg.hh"
 #include "kernels/lll.hh"
+#include "lint/wcirt.hh"
 #include "sim/machine.hh"
 #include "trap/controller.hh"
 #include "trap/handlers.hh"
 #include "trap/interrupt_source.hh"
+#include "trap/storm.hh"
 #include "trap/trap.hh"
 
 namespace ruu
@@ -482,6 +484,48 @@ TEST(TrapServicing, StormAcceptanceMatrixOnALivermoreKernel)
                 << coreKindName(kind) << " K=" << period;
             expectReplayMatches(w, config, res, coreKindName(kind));
         }
+    }
+}
+
+TEST(StormCell, PeriodsAreSixteenTimesPowersOfFourCapped)
+{
+    EXPECT_EQ(trap::stormPeriods(4), (std::vector<Cycle>{16, 64, 256, 1024}));
+    EXPECT_EQ(trap::stormPeriods(9),
+              (std::vector<Cycle>{16, 64, 256, 1024, 4096, 10000}));
+}
+
+TEST(StormCell, PruningChangesNothingButThePrunedFlag)
+{
+    // Periods on both sides of the certified segment ceiling: a row
+    // derived past it must equal the simulation it stands in for.
+    const Workload &w = loopWorkload();
+    const UarchConfig config = UarchConfig::cray1();
+    const Program handler = trap::counterHandler();
+    for (CoreKind kind : allCoreKinds()) {
+        const std::uint64_t ceiling =
+            lint::cachedWcirtBound(w.trace(), handler, config, kind)
+                .segmentCeiling();
+        ASSERT_NE(ceiling, lint::kWcirtUnbounded) << coreKindName(kind);
+        const std::vector<Cycle> periods = {16, ceiling, ceiling + 1,
+                                            4 * ceiling};
+        auto simulated = trap::runStormCell(w, kind, config, periods,
+                                            /*prune=*/false);
+        auto pruned = trap::runStormCell(w, kind, config, periods,
+                                         /*prune=*/true);
+        ASSERT_EQ(simulated.size(), periods.size());
+        ASSERT_EQ(pruned.size(), periods.size());
+        for (std::size_t i = 0; i < periods.size(); ++i) {
+            std::string label = std::string(coreKindName(kind)) +
+                                " K=" + std::to_string(periods[i]);
+            EXPECT_TRUE(simulated[i].ok) << label << ": "
+                                         << simulated[i].error;
+            EXPECT_FALSE(simulated[i].pruned) << label;
+            EXPECT_EQ(pruned[i].pruned, periods[i] > ceiling) << label;
+            trap::StormRow expected = simulated[i];
+            expected.pruned = pruned[i].pruned;
+            EXPECT_TRUE(pruned[i] == expected) << label;
+        }
+        EXPECT_GT(simulated[0].deliveries, 0u) << coreKindName(kind);
     }
 }
 

@@ -108,7 +108,7 @@ TEST(Wcirt, PreciseSchemesPayNoRestart)
 {
     Workload w = tinyWorkload();
     Program handler = straightHandler();
-    for (CoreKind kind : oracle::allCoreKinds()) {
+    for (CoreKind kind : allCoreKinds()) {
         lint::WcirtBound bound = lint::wcirtBound(
             w.trace(), handler, UarchConfig::cray1(), kind);
         const bool precise = kind == CoreKind::Ruu ||
@@ -364,7 +364,7 @@ TEST(WcirtSoundness, EveryDeliveryStaysUnderTheCeilingOnEveryCore)
     auto handler =
         std::make_shared<const Program>(trap::counterHandler());
     tconfig.handler = handler;
-    for (CoreKind kind : oracle::allCoreKinds()) {
+    for (CoreKind kind : allCoreKinds()) {
         auto core = makeCore(kind, UarchConfig::cray1());
         trap::TrapController controller(*core, tconfig);
         trap::TrapRunResult res = controller.run(
@@ -408,7 +408,7 @@ TEST(WcirtSoundness, KernelCeilingsHoldAndBeatTheLegacyWatchdog)
     for (std::size_t i : {std::size_t{0}, std::size_t{4},
                           std::size_t{10}}) {
         const Workload &w = livermoreWorkloads()[i];
-        for (CoreKind kind : oracle::allCoreKinds()) {
+        for (CoreKind kind : allCoreKinds()) {
             const std::uint64_t ceiling = lint::wcirtTraceCeiling(
                 w.trace(), UarchConfig::cray1(), kind);
             ASSERT_NE(ceiling, kWcirtUnbounded)
