@@ -1,24 +1,28 @@
 #!/usr/bin/env bash
 # Parallel- and cycle-engine smoke for CI.
 #
-# Two byte-identity gates, one measurement file:
+# Two byte-identity gates, one resource gate, one measurement file:
 #   1. every parallel driver must produce byte-identical output to its
 #      serial (-j1) run;
 #   2. every driver must produce byte-identical output under
 #      RUU_ENGINE=interp and RUU_ENGINE=compiled — the compiled fast
-#      path (src/engine) is only a speedup, never a semantic change.
+#      path (src/engine) is only a speedup, never a semantic change;
+#   3. the fixed costs around the cycle loop stay small: the peak RSS
+#      of one `run` and of one serial `sweep suite` must stay under a
+#      limit (their minor faults are recorded beside it). Peak RSS is
+#      steady on a noisy runner; wall time is not, so it is not gated.
 # Wall-clocks of all runs are recorded to a BENCH_perf.json so both
-# speedups are tracked over time. Byte-identity is the gate; speed is
-# a measurement — shared CI runners cannot promise real cores, so the
-# speedup checks only arm when RUU_PERF_REQUIRE_SPEEDUP /
-# RUU_PERF_REQUIRE_ENGINE_SPEEDUP are set (e.g. to 2.0). When
-# RUU_MICRO_ENGINE points at the bench/micro_engine binary, its --ab
-# sweep (all 6 cores x 14 kernels) regenerates bench/BENCH_engine.json
-# as part of the smoke, with its own built-in mismatch gate.
+# speedups are tracked over time. Speed is a measurement — shared CI
+# runners cannot promise real cores, so the speedup checks only arm
+# when RUU_PERF_REQUIRE_SPEEDUP / RUU_PERF_REQUIRE_ENGINE_SPEEDUP are
+# set (e.g. to 2.0). When RUU_MICRO_ENGINE points at the
+# bench/micro_engine binary, its --ab sweep (all 6 cores x 14 kernels)
+# regenerates bench/BENCH_engine.json as part of the smoke, with its
+# own built-in mismatch gate.
 #
 #   usage: scripts/ci_perf_smoke.sh <ruusim-binary> [workdir] [outfile]
 #
-# Exit nonzero on the first output deviation.
+# Exit nonzero on the first output deviation or exceeded limit.
 set -euo pipefail
 
 RUUSIM=${1:?usage: $0 <ruusim-binary> [workdir] [outfile]}
@@ -165,6 +169,43 @@ echo "  engine_inject: interp ${is}s, compiled ${cs}s, journals identical"
 ENGINE_ROWS+=("{\"driver\": \"engine_inject\", \"interp_seconds\": $is, \
 \"compiled_seconds\": $cs, \"speedup\": 1.00}")
 
+echo "== fixed costs: peak RSS of a single run and a serial sweep"
+declare -a FIXED_ROWS=()
+
+# fixed <name> <max-rss-mb> <command...>: run the command once (stdout
+# discarded) and read its peak RSS and minor faults from wait4.
+fixed() {
+    local name=$1 limit=$2
+    shift 2
+    local rss flt wall code
+    read -r rss flt wall code < <(python3 - "$@" <<'PY'
+import os, sys, time
+t0 = time.monotonic()
+pid = os.posix_spawnp(sys.argv[1], sys.argv[1:], os.environ,
+                      file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull,
+                                     os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(f"{usage.ru_maxrss / 1024:.1f} {usage.ru_minflt} "
+      f"{time.monotonic() - t0:.3f} {os.waitstatus_to_exitcode(status)}")
+PY
+)
+    if [ "$code" != 0 ]; then
+        echo "$name: exited with status $code" >&2
+        exit 1
+    fi
+    echo "  $name: peak RSS ${rss} MB (limit ${limit} MB), ${flt} minor faults, ${wall}s"
+    FIXED_ROWS+=("{\"command\": \"$name\", \"peak_rss_mb\": $rss, \
+\"rss_limit_mb\": $limit, \"minor_faults\": $flt, \"wall_seconds\": $wall}")
+    awk -v r="$rss" -v l="$limit" 'BEGIN { exit (r + 0 <= l + 0 ? 0 : 1) }' || {
+        echo "$name: peak RSS ${rss} MB exceeds ${limit} MB" >&2
+        exit 1
+    }
+}
+fixed "run lll03 --core ruu --json" 32 \
+    "$RUUSIM" run lll03 --core ruu --json
+fixed "sweep suite --core ruu -j1 --json" 64 \
+    "$RUUSIM" sweep suite --core ruu -j1 --json
+
 if [ -n "${RUU_MICRO_ENGINE:-}" ]; then
     echo "== micro_engine --ab: regenerating bench/BENCH_engine.json"
     "$RUU_MICRO_ENGINE" --ab "$WORKDIR/BENCH_engine.json" \
@@ -189,6 +230,13 @@ fi
         sep=","
         [ "$i" -eq $((${#ENGINE_ROWS[@]} - 1)) ] && sep=""
         echo "    ${ENGINE_ROWS[$i]}$sep"
+    done
+    echo "  ],"
+    echo "  \"fixed_costs\": ["
+    for i in "${!FIXED_ROWS[@]}"; do
+        sep=","
+        [ "$i" -eq $((${#FIXED_ROWS[@]} - 1)) ] && sep=""
+        echo "    ${FIXED_ROWS[$i]}$sep"
     done
     echo "  ]"
     echo "}"

@@ -10,8 +10,7 @@ namespace
 
 FuncResult
 runFrom(std::shared_ptr<const Program> program, std::size_t start,
-        std::uint64_t limit, FuncResult result,
-        const FuncSimOptions &options)
+        std::uint64_t limit, FuncResult result)
 {
     ruu_assert(program != nullptr, "null program");
     result.trace = Trace(program);
@@ -74,8 +73,7 @@ run(std::shared_ptr<const Program> program, std::uint64_t limit,
                       static_cast<unsigned long long>(init.addr),
                       initial.finalMemory.sizeWords());
     }
-    return runFrom(std::move(program), 0, limit, std::move(initial),
-                   options);
+    return runFrom(std::move(program), 0, limit, std::move(initial));
 }
 
 } // namespace
@@ -107,7 +105,7 @@ resumeFunctional(std::shared_ptr<const Program> program,
     initial.finalState = state;
     initial.finalMemory = memory;
     return runFrom(std::move(program), startIndex,
-                   options.maxInstructions, std::move(initial), options);
+                   options.maxInstructions, std::move(initial));
 }
 
 } // namespace ruu

@@ -26,14 +26,7 @@ struct FuncResult
 {
     Trace trace;          //!< full dynamic trace (includes HALT)
     ArchState finalState; //!< registers after the last instruction
-
-    /**
-     * Memory after the last instruction. Empty (zero words) until a
-     * run materializes it: a default-sized image is 8 MiB of memset,
-     * and the trap controller restarts runs once per interrupt
-     * delivery, so the placeholder must cost nothing.
-     */
-    Memory finalMemory{0};
+    Memory finalMemory;   //!< memory after the last instruction
     bool halted = false;  //!< program reached HALT
     Fault fault = Fault::None; //!< first organic fault, if any
     SeqNum faultSeq = kNoSeqNum; //!< dynamic index of that fault

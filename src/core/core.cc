@@ -109,12 +109,9 @@ Core::makeInitialResult(const Trace &trace,
         result.state = *options.initialState;
     if (options.initialMemory) {
         result.memory = *options.initialMemory;
-    } else {
-        result.memory = Memory();
-        if (trace.programPtr()) {
-            for (const auto &init : trace.program().dataInits())
-                result.memory.set(init.addr, init.value);
-        }
+    } else if (trace.programPtr()) {
+        for (const auto &init : trace.program().dataInits())
+            result.memory.set(init.addr, init.value);
     }
     return result;
 }

@@ -139,13 +139,8 @@ struct RunResult
      */
     ArchState state;
 
-    /**
-     * Memory state at the end of the run. Empty (zero words) until
-     * Core::makeInitialResult materializes it — a default-sized image
-     * is 8 MiB of memset, paid once per core restart, and the trap
-     * controller restarts the core once per interrupt delivery.
-     */
-    Memory memory{0};
+    /** Memory state at the end of the run. */
+    Memory memory;
 
     /**
      * The watchdog fired: the run exceeded RunOptions::maxCycles

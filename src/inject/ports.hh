@@ -22,17 +22,21 @@ namespace ruu::inject
 
 /**
  * Register the flippable fields of one reservation-station entry.
- * @p dest_tag_wrap is nonzero for cores whose destination tag indexes
- * a structure (the Tomasulo Tag Unit): a flipped tag then lands on a
- * real slot instead of outside the array. The `rec` pointer and the
- * `loadReg` host index are deliberately not ports.
+ * The sequence number indexes the trace, so it wraps to @p seq_wrap
+ * (the trace length): a flipped seq then names a real record instead
+ * of reading past the trace. @p dest_tag_wrap is nonzero for cores
+ * whose destination tag indexes a structure (the Tomasulo Tag Unit):
+ * a flipped tag then lands on a real slot instead of outside the
+ * array. The `rec` pointer and the `loadReg` host index are
+ * deliberately not ports.
  */
 inline void
 exposeInflightOp(FaultPortSet &ports, const std::string &prefix,
-                 InflightOp &op, std::uint64_t dest_tag_wrap = 0)
+                 InflightOp &op, std::uint64_t seq_wrap,
+                 std::uint64_t dest_tag_wrap = 0)
 {
     ports.addFlag(prefix + ".valid", op.valid);
-    ports.add(prefix + ".seq", PortClass::Sequence, op.seq, 32);
+    ports.add(prefix + ".seq", PortClass::Sequence, op.seq, 32, seq_wrap);
     ports.add(prefix + ".destTag", PortClass::Tag, op.destTag, 32,
               dest_tag_wrap);
     for (unsigned s = 0; s < 2; ++s) {

@@ -51,7 +51,10 @@ Kernel makeLll13(); //!< 2-D particle in cell
 Kernel makeLll14(); //!< 1-D particle in cell
 /** @} */
 
-/** All 14 kernels, built once and cached. */
+/**
+ * All 14 kernels. Each kernel is built at most once per process and
+ * cached; all three lookups below are thread-safe.
+ */
 const std::vector<Kernel> &livermoreKernels();
 
 /**
@@ -62,8 +65,9 @@ const std::vector<Workload> &livermoreWorkloads();
 
 /**
  * The workload of the built-in kernel named @p name ("lll01" ..
- * "lll14"), or nullptr when no kernel has that name. The result lives
- * for the rest of the process.
+ * "lll14"), or nullptr when no kernel has that name. Builds only that
+ * kernel (the same cached entry livermoreWorkloads() returns); the
+ * result lives for the rest of the process.
  */
 const Workload *findLivermoreWorkload(const std::string &name);
 

@@ -354,13 +354,7 @@ CommitOracle::finish(const RunResult &result)
         return false;
     }
     if (result.memory != _memory) {
-        Addr bad = 0;
-        for (Addr a = 0; a < _memory.sizeWords(); ++a) {
-            if (result.memory.at(a) != _memory.at(a)) {
-                bad = a;
-                break;
-            }
-        }
+        Addr bad = result.memory.firstDifference(_memory).value_or(0);
         fail(_stepped ? _stepped - 1 : 0,
              vformat("final memory diverges from lockstep execution: "
                      "word %llu is %llu, lockstep has %llu",

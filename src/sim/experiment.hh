@@ -77,11 +77,11 @@ struct SweepOptions
 /**
  * Reusable per-worker simulation state: one core, rebuilt only when
  * the (kind, config) identity changes between jobs. Cores carry their
- * pipeline structures and an 8 MiB memory image; re-running a core is
- * free of those allocations, so a worker that processes a run of jobs
- * with the same configuration pays the construction cost once. Cores
- * reset completely between runs (the serial suites have always reused
- * one core across all 14 workloads), so reuse never changes results.
+ * pipeline structures; re-running a core is free of those
+ * allocations, so a worker that processes a run of jobs with the same
+ * configuration pays the construction cost once. Cores reset
+ * completely between runs (the serial suites have always reused one
+ * core across all 14 workloads), so reuse never changes results.
  */
 class SuiteArena
 {

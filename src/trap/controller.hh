@@ -61,10 +61,7 @@ struct TrapConfig
 
     /**
      * Data-memory capacity in words for the run and its replay. The
-     * exchange packages must fit below it (TrapLayout::fits). Storm
-     * sweeps restart the core once per delivery, and every restart
-     * copies the memory image — a compact memory makes a
-     * thousand-delivery sweep dramatically cheaper.
+     * exchange packages must fit below it (TrapLayout::fits).
      */
     std::size_t memoryWords = Memory::kDefaultWords;
 

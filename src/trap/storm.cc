@@ -31,21 +31,8 @@ runStormCell(const Workload &workload, CoreKind kind,
              const UarchConfig &config, const std::vector<Cycle> &periods,
              bool prune)
 {
-    // A compact data memory makes the per-delivery core restarts
-    // cheap; fall back to the default layout for programs whose data
-    // reaches up into it.
     TrapConfig tconfig;
     tconfig.checkOracle = true;
-    Addr maxAddr = 0;
-    for (const auto &record : workload.trace().records())
-        maxAddr = std::max(maxAddr, record.memAddr);
-    for (const auto &init : workload.program->dataInits())
-        maxAddr = std::max(maxAddr, init.addr);
-    if (maxAddr < 0xe000) {
-        tconfig.layout.exchangeBase = 0xf000;
-        tconfig.layout.scratchBase = 0xf800;
-        tconfig.memoryWords = 1u << 16;
-    }
 
     // Pin the handler program so the controller and the pruning
     // decision below share one cached WCIRT bound entry.

@@ -54,9 +54,9 @@ std::vector<Cycle> stormPeriods(std::size_t points);
 /**
  * Run @p workload on @p kind under periodic interrupts at each of
  * @p periods, one StormRow per period in order. One interrupt-free
- * baseline run, compact memory layout and counter handler serve every
- * period; each simulated period runs under the per-segment commit
- * oracle and is checked by a bit-exact functional replay. With
+ * baseline run and counter handler serve every period; each simulated
+ * period runs under the per-segment commit oracle and is checked by a
+ * bit-exact functional replay. With
  * @p prune, a period past the certified WCIRT segment ceiling is
  * derived from the baseline instead of simulated; the row is
  * identical except for `pruned`.

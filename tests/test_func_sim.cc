@@ -169,6 +169,117 @@ TEST(Memory, BoundsChecking)
     EXPECT_EQ(memory.at(5), 0u);
 }
 
+TEST(Memory, FaultsAtAndPastCapacity)
+{
+    Memory memory;
+    const Addr cap = Memory::kDefaultWords;
+    EXPECT_EQ(memory.sizeWords(), cap);
+    EXPECT_TRUE(memory.store(cap - 1, 9));
+    EXPECT_EQ(memory.load(cap - 1), std::optional<Word>(9));
+    for (Addr addr : {cap, cap + 1, cap + Memory::kPageWords, ~Addr{0}}) {
+        EXPECT_FALSE(memory.mapped(addr));
+        EXPECT_FALSE(memory.store(addr, 1));
+        EXPECT_FALSE(memory.load(addr).has_value());
+    }
+    EXPECT_DEATH(memory.at(cap), "unmapped address");
+    EXPECT_DEATH(memory.set(cap, 1), "unmapped address");
+
+    // A capacity that ends mid-page faults at the capacity, not at the
+    // page boundary.
+    Memory odd(Memory::kPageWords + 3);
+    EXPECT_TRUE(odd.store(Memory::kPageWords + 2, 1));
+    EXPECT_FALSE(odd.store(Memory::kPageWords + 3, 1));
+
+    Memory none(0);
+    EXPECT_FALSE(none.mapped(0));
+    EXPECT_FALSE(none.load(0).has_value());
+}
+
+TEST(Memory, UnwrittenWordsReadAsZero)
+{
+    Memory memory;
+    for (Addr addr : {Addr{0}, Addr{511}, Addr{512}, Addr{70000},
+                      Addr{Memory::kDefaultWords - 1}}) {
+        EXPECT_EQ(memory.load(addr), std::optional<Word>(0));
+        EXPECT_EQ(memory.at(addr), 0u);
+    }
+    memory.set(1000, doubleToWord(2.5));
+    EXPECT_DOUBLE_EQ(memory.atDouble(1000), 2.5);
+    EXPECT_EQ(memory.at(999), 0u);
+    EXPECT_EQ(memory.at(1001), 0u);
+}
+
+TEST(Memory, StoringZeroIntoAMissingPageEqualsAFreshImage)
+{
+    Memory memory;
+    EXPECT_TRUE(memory.store(4096, 0));
+    memory.set(Memory::kDefaultWords - 1, 0);
+    EXPECT_EQ(memory, Memory());
+
+    // Zeroing a written word brings it back to equal a fresh image too.
+    memory.set(7, 3);
+    EXPECT_NE(memory, Memory());
+    memory.set(7, 0);
+    EXPECT_EQ(memory, Memory());
+    EXPECT_FALSE(memory.firstDifference(Memory()).has_value());
+}
+
+TEST(Memory, CopiesAreIndependentInBothDirections)
+{
+    Memory original;
+    original.set(10, 1);
+    original.set(5000, 2);
+
+    Memory copy = original;
+    EXPECT_EQ(copy, original);
+    copy.set(10, 100);    // shared page
+    copy.set(20000, 200); // page the original never had
+    EXPECT_EQ(original.at(10), 1u);
+    EXPECT_EQ(original.at(20000), 0u);
+    EXPECT_EQ(copy.at(10), 100u);
+    EXPECT_EQ(copy.at(5000), 2u);
+
+    Memory second = original;
+    original.set(5000, 3);
+    original.store(10, 4);
+    EXPECT_EQ(second.at(5000), 2u);
+    EXPECT_EQ(second.at(10), 1u);
+    EXPECT_EQ(copy.at(5000), 2u);
+
+    Memory assigned;
+    assigned = second;
+    second.clear();
+    EXPECT_EQ(assigned.at(10), 1u);
+    EXPECT_EQ(second, Memory());
+}
+
+TEST(Memory, EqualityIgnoresPageSharing)
+{
+    Memory a;
+    a.set(3, 30);
+    a.set(900, 90);
+    Memory shared = a;  // every page shared
+    Memory rebuilt;     // same contents, no page shared
+    rebuilt.set(900, 90);
+    rebuilt.set(3, 30);
+    Memory partly = a;  // one page shared, one cloned
+    partly.set(901, 0);
+    EXPECT_EQ(a, shared);
+    EXPECT_EQ(a, rebuilt);
+    EXPECT_EQ(a, partly);
+    EXPECT_EQ(rebuilt, partly);
+
+    rebuilt.set(901, 1);
+    EXPECT_NE(a, rebuilt);
+    EXPECT_EQ(a.firstDifference(rebuilt), std::optional<Addr>(901));
+    EXPECT_EQ(rebuilt.firstDifference(a), std::optional<Addr>(901));
+    EXPECT_EQ(a.firstDifference(Memory()), std::optional<Addr>(3));
+
+    // Capacity is part of equality, as it was for the dense image.
+    EXPECT_NE(Memory(128), Memory(256));
+    EXPECT_NE(Memory(0), Memory());
+}
+
 TEST(ArchState, ReadWriteAllFiles)
 {
     ArchState state;

@@ -6,7 +6,9 @@
  * wraparound and structural stalls, wide dispatch, narrow counters,
  * banked memory). The random programs mix every instruction class,
  * loops, inter-file traffic, and memory reuse (store-to-load
- * forwarding triggers constantly inside the small data window).
+ * forwarding triggers constantly inside the small data window). A
+ * separate mode diffs the sparse copy-on-write memory image against a
+ * dense reference under random access, copy and clear sequences.
  */
 
 #include <gtest/gtest.h>
@@ -512,6 +514,93 @@ TEST_P(FuzzSeeds, ResourceBoundIsMonotoneUnderRandomConfigs)
                   baseline)
             << w.name << ": slowing the machine lowered the bound";
     }
+}
+
+TEST_P(FuzzSeeds, SparseMemoryMatchesADenseReference)
+{
+    // Random load/store/set/copy/clear/== sequences over a few images
+    // whose pages are shared by copies, checked word for word against
+    // a dense vector per image. The capacity ends mid-page, and about
+    // one address in eight is past it.
+    constexpr std::size_t kWords = 6 * Memory::kPageWords + 37;
+    constexpr unsigned kImages = 4;
+    std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 5);
+    std::vector<Memory> sparse(kImages, Memory(kWords));
+    std::vector<std::vector<Word>> dense(kImages,
+                                         std::vector<Word>(kWords, 0));
+
+    auto pick = [&](std::uint64_t n) { return rng() % n; };
+    auto address = [&]() -> Addr {
+        if (pick(8) == 0)
+            return kWords + pick(3 * Memory::kPageWords);
+        // Cluster around page boundaries half the time.
+        if (pick(2) == 0) {
+            Addr edge = pick(kWords / Memory::kPageWords + 1) *
+                        Memory::kPageWords;
+            return edge + pick(5) - 2;
+        }
+        return pick(kWords);
+    };
+    auto value = [&]() -> Word { return pick(3) == 0 ? 0 : rng(); };
+
+    for (int op = 0; op < 4000; ++op) {
+        unsigned i = static_cast<unsigned>(pick(kImages));
+        unsigned j = static_cast<unsigned>(pick(kImages));
+        Addr addr = address();
+        bool inRange = addr < kWords;
+        switch (pick(7)) {
+          case 0:
+          case 1: {
+            std::optional<Word> got = sparse[i].load(addr);
+            ASSERT_EQ(got.has_value(), inRange) << "op " << op;
+            if (inRange) {
+                ASSERT_EQ(*got, dense[i][addr]) << "op " << op;
+            }
+            break;
+          }
+          case 2:
+          case 3: {
+            Word v = value();
+            ASSERT_EQ(sparse[i].store(addr, v), inRange) << "op " << op;
+            if (inRange)
+                dense[i][addr] = v;
+            break;
+          }
+          case 4:
+            if (inRange) {
+                Word v = value();
+                sparse[i].set(addr, v);
+                dense[i][addr] = v;
+                ASSERT_EQ(sparse[i].at(addr), v);
+            }
+            break;
+          case 5:
+            if (pick(16) == 0) {
+                sparse[i].clear();
+                std::fill(dense[i].begin(), dense[i].end(), 0);
+            } else {
+                sparse[i] = sparse[j];
+                dense[i] = dense[j];
+            }
+            break;
+          default: {
+            ASSERT_EQ(sparse[i] == sparse[j], dense[i] == dense[j])
+                << "op " << op;
+            auto diff = std::mismatch(dense[i].begin(), dense[i].end(),
+                                      dense[j].begin());
+            std::optional<Addr> want;
+            if (diff.first != dense[i].end())
+                want = static_cast<Addr>(diff.first - dense[i].begin());
+            ASSERT_EQ(sparse[i].firstDifference(sparse[j]), want)
+                << "op " << op;
+            break;
+          }
+        }
+    }
+    for (unsigned i = 0; i < kImages; ++i)
+        for (Addr addr = 0; addr < kWords; ++addr)
+            ASSERT_EQ(sparse[i].at(addr), dense[i][addr])
+                << "image " << i << " word " << addr;
 }
 
 INSTANTIATE_TEST_SUITE_P(ManySeeds, FuzzSeeds, ::testing::Range(0, 24));

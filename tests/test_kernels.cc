@@ -92,6 +92,19 @@ TEST(KernelSuite, WorkloadsAreCachedAndConsistent)
     EXPECT_LT(total, 200000u);
 }
 
+TEST(KernelSuite, LookupByNameReturnsTheCachedWorkload)
+{
+    const auto &workloads = livermoreWorkloads();
+    const auto &kernels = livermoreKernels();
+    for (std::size_t i = 0; i < kernels.size(); ++i) {
+        EXPECT_EQ(workloads[i].name, kernels[i].name);
+        EXPECT_EQ(findLivermoreWorkload(kernels[i].name), &workloads[i]);
+    }
+    for (const char *name : {"", "lll", "lll00", "lll15", "lll3", "LLL03",
+                             "lll03 ", "suite"})
+        EXPECT_EQ(findLivermoreWorkload(name), nullptr) << name;
+}
+
 TEST(KernelSuite, RegisterFileDiversity)
 {
     // The suite must exercise the B and T register files — the paper's

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "inject/campaign.hh"
+#include "kernels/lll.hh"
 #include "lint/dataflow_bound.hh"
 #include "lint/resource_bound.hh"
 #include "oracle/sweep.hh"
@@ -281,6 +282,60 @@ TEST(Determinism, InjectJournalIsByteIdenticalAtAnyJobCount)
 
     std::remove(serial_path.c_str());
     std::remove(par_path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Shared, copy-on-write memory images across threads
+
+TEST(SharedMemory, ThreadsMutateCopiesOfOneWorkloadImage)
+{
+    // Every thread looks the kernel up (racing on its one-time build),
+    // copies the workload's final memory, and rewrites every word the
+    // kernel stored plus a page the kernel never touched. The shared
+    // image and every other thread's copy must be unaffected.
+    constexpr unsigned kThreads = 8;
+    std::vector<const Workload *> seen(kThreads, nullptr);
+    std::vector<char> ok(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([t, &seen, &ok] {
+            const Workload *w = findLivermoreWorkload("lll01");
+            seen[t] = w;
+            if (!w)
+                return;
+            Memory mine = w->func.finalMemory;
+            std::vector<Addr> written;
+            for (const TraceRecord &rec : w->trace().records())
+                if (isStore(rec.inst.op))
+                    written.push_back(rec.memAddr);
+            const Word tag = 0xabc00000u + t;
+            const Addr fresh = 600000 + t * Memory::kPageWords;
+            for (Addr addr : written)
+                mine.set(addr, tag);
+            mine.set(fresh, tag);
+            bool good = !written.empty();
+            for (Addr addr : written)
+                good = good && mine.at(addr) == tag &&
+                       w->func.finalMemory.at(addr) != tag;
+            good = good && mine.at(fresh) == tag &&
+                   w->func.finalMemory.at(fresh) == 0 &&
+                   mine != w->func.finalMemory;
+            ok[t] = good;
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+
+    const Workload *expected = findLivermoreWorkload("lll01");
+    ASSERT_NE(expected, nullptr);
+    for (unsigned t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(seen[t], expected) << "thread " << t;
+        EXPECT_TRUE(ok[t]) << "thread " << t;
+    }
+    // The cached image still equals a fresh functional run's.
+    FuncResult again = runFunctional(expected->program);
+    EXPECT_EQ(expected->func.finalMemory, again.finalMemory);
+    EXPECT_EQ(&livermoreWorkloads()[0], expected);
 }
 
 // ---------------------------------------------------------------------

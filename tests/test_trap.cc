@@ -74,9 +74,8 @@ makeConfig()
 {
     TrapConfig config;
     config.checkOracle = true;
-    // Segment restarts copy the whole memory image, so the tests use a
-    // compact 64Ki-word memory; every test program's data (and all 14
-    // Livermore kernels) sits far below the relocated trap area.
+    // A compact 64Ki-word memory with a relocated trap area; every test
+    // program's data (and all 14 Livermore kernels) sits far below it.
     config.layout.exchangeBase = 0xf000;
     config.layout.scratchBase = 0xf800;
     config.memoryWords = 1u << 16;
