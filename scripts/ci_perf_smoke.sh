@@ -8,9 +8,12 @@
 #      RUU_ENGINE=interp and RUU_ENGINE=compiled — the compiled fast
 #      path (src/engine) is only a speedup, never a semantic change;
 #   3. the fixed costs around the cycle loop stay small: the peak RSS
-#      of one `run` and of one serial `sweep suite` must stay under a
-#      limit (their minor faults are recorded beside it). Peak RSS is
-#      steady on a noisy runner; wall time is not, so it is not gated.
+#      of one `run`, of one serial `sweep suite` and of one serial
+#      one-period `storm` must stay under a limit (their minor faults
+#      are recorded beside it). The storm regenerates and compiles a
+#      trace per delivery, so its limit holds only while derived trace
+#      data dies with its trace. Peak RSS is steady on a noisy runner;
+#      wall time is not, so it is not gated.
 # Wall-clocks of all runs are recorded to a BENCH_perf.json so both
 # speedups are tracked over time. Speed is a measurement — shared CI
 # runners cannot promise real cores, so the speedup checks only arm
@@ -169,7 +172,7 @@ echo "  engine_inject: interp ${is}s, compiled ${cs}s, journals identical"
 ENGINE_ROWS+=("{\"driver\": \"engine_inject\", \"interp_seconds\": $is, \
 \"compiled_seconds\": $cs, \"speedup\": 1.00}")
 
-echo "== fixed costs: peak RSS of a single run and a serial sweep"
+echo "== fixed costs: peak RSS of a single run, a serial sweep and a storm"
 declare -a FIXED_ROWS=()
 
 # fixed <name> <max-rss-mb> <command...>: run the command once (stdout
@@ -205,6 +208,8 @@ fixed "run lll03 --core ruu --json" 32 \
     "$RUUSIM" run lll03 --core ruu --json
 fixed "sweep suite --core ruu -j1 --json" 64 \
     "$RUUSIM" sweep suite --core ruu -j1 --json
+fixed "storm lll03 --core ruu --points 1 -j1 --json" 64 \
+    "$RUUSIM" storm lll03 --core ruu --points 1 -j1 --json
 
 if [ -n "${RUU_MICRO_ENGINE:-}" ]; then
     echo "== micro_engine --ab: regenerating bench/BENCH_engine.json"

@@ -42,6 +42,22 @@ Program::labelAddr(const std::string &label) const
     return it->second;
 }
 
+std::uint64_t
+Program::contentHash() const
+{
+    WordHash hash;
+    hash.mix(_isHandler ? 1 : 0);
+    hash.mix(_insts.size());
+    for (const Instruction &inst : _insts)
+        hashInstruction(hash, inst);
+    hash.mix(_data.size());
+    for (const DataInit &init : _data) {
+        hash.mix(init.addr);
+        hash.mix(init.value);
+    }
+    return hash.value;
+}
+
 std::size_t
 Program::append(const Instruction &inst)
 {

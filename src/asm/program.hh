@@ -102,6 +102,13 @@ class Program
      */
     bool isHandler() const { return _isHandler; }
 
+    /**
+     * Hash of everything execution reads: every instruction, the data
+     * image and the handler flag (not the name, labels or lint
+     * suppressions).
+     */
+    std::uint64_t contentHash() const;
+
     /** Render an assembler-style listing with addresses and labels. */
     std::string listing() const;
 

@@ -10,17 +10,19 @@
  * hot loop touches one flag word per record instead of re-decoding
  * through the opcode table (whose accessors carry always-on asserts).
  *
- * Streams are immutable once built and shared read-only: the parallel
- * sweep workers (src/par) and the ruusimd campaign units all resolve
- * the same kernel to the same Trace object, so the process-wide memo
- * below decodes each trace exactly once per process.
+ * Streams are immutable once built and shared read-only. Each lives in
+ * its trace's memo (trace/memo.hh), which the trace's copies share: the
+ * parallel sweep workers (src/par), the interrupt sweep's per-worker
+ * annotatable copies and the ruusimd campaign units all resolve the
+ * same kernel to one trace or its copies, so each trace is decoded
+ * once. A stream is freed with the last copy of its trace, so a storm's
+ * thousands of regenerated resume traces do not accumulate.
  *
  * Fault annotations are deliberately NOT part of the stream. They are
  * the only mutable field of a trace (Trace::injectFault), and the
  * cores read them straight from the live TraceRecord — so a cached
  * stream stays valid across the thousands of injectFault/clearFaults
- * mutations of a fault-sweep campaign, and the cache key needs no
- * fault epoch.
+ * mutations of a fault-sweep campaign, which leave the memo in place.
  */
 
 #ifndef RUU_ENGINE_STREAM_HH
@@ -84,33 +86,18 @@ struct CompiledStream
 /** Decode @p trace into a stream. Linear in trace length. */
 CompiledStream compileStream(const Trace &trace);
 
-/** Hit/lookup counters of the process-wide stream cache. */
-struct StreamCacheStats
-{
-    std::uint64_t lookups = 0;
-    std::uint64_t hits = 0;
-};
+/** Hit/lookup counters of the stream memo. */
+using StreamCacheStats = MemoStats;
 
 /**
- * Content fingerprint of @p trace for stream identity: FNV-1a over up
- * to 64 evenly spaced records, mixing the decoded instruction fields
- * (opcode, registers, immediate) as well as pc/address/position.
- * Stronger than lint::boundTraceFingerprint, which ignores the
- * instruction itself — two traces of the same shape differing only in
- * opcodes must not share a stream when a freed trace's address is
- * reused.
- */
-std::uint64_t streamTraceFingerprint(const Trace &trace);
-
-/**
- * Memoized compileStream, keyed like lint::cachedDataflowBound on the
- * trace's address, length and content fingerprint (the stream depends
- * on nothing else — not the config, not fault annotations).
- * Thread-safe; the returned stream is immutable and shared.
+ * Memoized compileStream, held in the trace's memo (trace/memo.hh):
+ * the stream depends on nothing else — not the config, not fault
+ * annotations. Thread-safe; the returned stream is immutable and
+ * shared, and outlives the trace only through the returned handle.
  */
 std::shared_ptr<const CompiledStream> cachedStream(const Trace &trace);
 
-/** Counters of cachedStream since process start. */
+/** Counters of cachedStream across all traces since process start. */
 StreamCacheStats streamCacheStats();
 
 } // namespace ruu::engine

@@ -147,4 +147,14 @@ Instruction::rdst(Opcode op, RegId dst)
     return inst;
 }
 
+void
+hashInstruction(WordHash &hash, const Instruction &inst)
+{
+    hash.mix(static_cast<std::uint64_t>(inst.op));
+    for (RegId reg : {inst.dst, inst.src1, inst.src2})
+        hash.mix(reg.valid() ? reg.flat() + 1 : 0);
+    hash.mix(static_cast<std::uint64_t>(inst.imm));
+    hash.mix(inst.target);
+}
+
 } // namespace ruu

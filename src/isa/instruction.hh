@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/hash.hh"
 #include "common/types.hh"
 #include "isa/opcode.hh"
 #include "isa/reg.hh"
@@ -97,6 +98,9 @@ struct Instruction
     /** Destination-only form (MFEPC, MFCAUSE). */
     static Instruction rdst(Opcode op, RegId dst);
 };
+
+/** Fold every field of @p inst into @p hash. */
+void hashInstruction(WordHash &hash, const Instruction &inst);
 
 } // namespace ruu
 

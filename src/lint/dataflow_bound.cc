@@ -1,10 +1,9 @@
 #include "lint/dataflow_bound.hh"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
-#include <tuple>
+#include <array>
 #include <unordered_map>
+#include <variant>
 
 #include "isa/reg.hh"
 
@@ -101,92 +100,52 @@ dataflowBound(const Trace &trace, const UarchConfig &config)
 namespace
 {
 
-/** Cache key: trace identity plus the config fields minCost reads. */
+/** Memo key: the config fields minCost reads. */
 struct BoundKey
 {
-    const void *trace;
-    std::size_t records;
-    std::uint64_t fingerprint;
     std::array<unsigned, kNumFuKinds> fuLatency;
     unsigned forwardLatency;
 
-    bool operator<(const BoundKey &o) const
-    {
-        return std::tie(trace, records, fingerprint, fuLatency,
-                        forwardLatency) <
-               std::tie(o.trace, o.records, o.fingerprint, o.fuLatency,
-                        o.forwardLatency);
-    }
+    auto operator<=>(const BoundKey &) const = default;
 };
-
-struct BoundCache
-{
-    std::mutex mutex;
-    std::map<BoundKey, DataflowBound> entries;
-    BoundCacheStats stats;
-};
-
-BoundCache &
-boundCache()
-{
-    static BoundCache cache;
-    return cache;
-}
 
 } // namespace
 
 std::uint64_t
 boundTraceFingerprint(const Trace &trace)
 {
-    const auto &records = trace.records();
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-        h = (h ^ v) * 0x100000001b3ull;
-    };
-    std::size_t n = records.size();
-    std::size_t step = n > 64 ? n / 64 : 1;
-    for (std::size_t i = 0; i < n; i += step) {
-        const TraceRecord &rec = records[i];
-        mix(rec.pc);
-        mix(rec.memAddr);
-        mix(static_cast<std::uint64_t>(rec.staticIndex));
-    }
-    return h;
+    return *trace.memo()->get<std::uint64_t>(
+        TraceArtifact::ContentHash, std::monostate{}, [&] {
+            WordHash hash;
+            hash.mix(trace.programPtr() ? trace.program().contentHash()
+                                        : 0);
+            hash.mix(trace.size());
+            for (const TraceRecord &rec : trace.records()) {
+                hashInstruction(hash, rec.inst);
+                hash.mix(rec.staticIndex);
+                hash.mix(rec.pc);
+                hash.mix(rec.memAddr);
+                hash.mix(rec.result);
+                hash.mix(rec.storeValue);
+                hash.mix(rec.taken ? 1 : 0);
+            }
+            return hash.value;
+        });
 }
 
 const DataflowBound &
 cachedDataflowBound(const Trace &trace, const UarchConfig &config)
 {
-    BoundKey key;
-    key.trace = &trace;
-    key.records = trace.records().size();
-    key.fingerprint = boundTraceFingerprint(trace);
-    key.fuLatency = config.fuLatency;
-    key.forwardLatency = config.forwardLatency;
-
-    BoundCache &cache = boundCache();
-    {
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        ++cache.stats.lookups;
-        auto it = cache.entries.find(key);
-        if (it != cache.entries.end()) {
-            ++cache.stats.hits;
-            return it->second;
-        }
-    }
-    // Compute outside the lock (the bound is deterministic, so a
-    // racing duplicate computation is wasted work, not wrong work).
-    DataflowBound bound = dataflowBound(trace, config);
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.entries.emplace(key, bound).first->second;
+    return *trace.memo()->get<DataflowBound>(
+        TraceArtifact::DataflowBound,
+        BoundKey{config.fuLatency, config.forwardLatency},
+        [&] { return dataflowBound(trace, config); });
 }
 
 BoundCacheStats
 boundCacheStats()
 {
-    BoundCache &cache = boundCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.stats;
+    return TraceMemo::stats(TraceArtifact::DataflowBound);
 }
 
 } // namespace ruu::lint

@@ -86,33 +86,31 @@ DataflowBound dataflowBound(const Trace &trace,
 std::uint64_t minRecordCost(const TraceRecord &record,
                             const UarchConfig &config);
 
-/** Hit/lookup counters of the process-wide bound cache. */
-struct BoundCacheStats
-{
-    std::uint64_t lookups = 0;
-    std::uint64_t hits = 0;
-};
+/** Hit/lookup counters of a bound memo. */
+using BoundCacheStats = MemoStats;
 
 /**
  * Memoized dataflowBound. The bound depends only on the trace and the
  * latency-related configuration fields (fuLatency, forwardLatency) —
  * it is invariant across pool-size sweep points — so the sweep drivers
  * share one computation per (trace, latency profile) instead of
- * recomputing it at every point. Keyed on the trace's address, length
- * and a content fingerprint plus the latency fields; entries are never
- * evicted. Thread-safe; the returned reference is stable for the
- * process lifetime.
+ * recomputing it at every point. Held in the trace's memo
+ * (trace/memo.hh) keyed on the latency fields. Thread-safe; the
+ * returned reference is valid while the trace, or a copy sharing its
+ * memo, is alive.
  */
 const DataflowBound &cachedDataflowBound(const Trace &trace,
                                          const UarchConfig &config);
 
-/** Counters of cachedDataflowBound since process start. */
+/** Counters of cachedDataflowBound across all traces. */
 BoundCacheStats boundCacheStats();
 
 /**
- * Cheap content fingerprint of @p trace (FNV-1a over up to 64 evenly
- * spaced records): guards the bound caches against a freed trace's
- * address being reused by a different trace of the same length.
+ * Content hash of @p trace: every TraceRecord field except the fault
+ * annotation, plus the program's Program::contentHash() (the
+ * speculative core fetches wrong-path code that no record holds).
+ * Computed once per trace through its memo. ruusimd's result cache
+ * keys on it, so two traces that hash alike must simulate alike.
  */
 std::uint64_t boundTraceFingerprint(const Trace &trace);
 

@@ -1,10 +1,8 @@
 #include "lint/resource_bound.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <map>
-#include <mutex>
-#include <tuple>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -265,12 +263,9 @@ resourceBound(const Trace &trace, const UarchConfig &config)
 namespace
 {
 
-/** Cache key: trace identity plus every config field the floors read. */
+/** Memo key: every config field the floors read. */
 struct ResourceBoundKey
 {
-    const void *trace;
-    std::size_t records;
-    std::uint64_t fingerprint;
     std::array<unsigned, kNumFuKinds> fuLatency;
     std::array<unsigned, kNumFuKinds> fuCount;
     unsigned forwardLatency;
@@ -281,76 +276,32 @@ struct ResourceBoundKey
     unsigned predictedTakenPenalty;
     unsigned mispredictPenalty;
 
-    bool operator<(const ResourceBoundKey &o) const
-    {
-        return std::tie(trace, records, fingerprint, fuLatency, fuCount,
-                        forwardLatency, storeLatency, resultBuses,
-                        commitWidth, branchTakenPenalty,
-                        predictedTakenPenalty, mispredictPenalty) <
-               std::tie(o.trace, o.records, o.fingerprint, o.fuLatency,
-                        o.fuCount, o.forwardLatency, o.storeLatency,
-                        o.resultBuses, o.commitWidth,
-                        o.branchTakenPenalty, o.predictedTakenPenalty,
-                        o.mispredictPenalty);
-    }
+    auto operator<=>(const ResourceBoundKey &) const = default;
 };
-
-struct ResourceBoundCache
-{
-    std::mutex mutex;
-    std::map<ResourceBoundKey, ResourceBound> entries;
-    BoundCacheStats stats;
-};
-
-ResourceBoundCache &
-resourceBoundCache()
-{
-    static ResourceBoundCache cache;
-    return cache;
-}
 
 } // namespace
 
 const ResourceBound &
 cachedResourceBound(const Trace &trace, const UarchConfig &config)
 {
-    ResourceBoundKey key;
-    key.trace = &trace;
-    key.records = trace.records().size();
-    key.fingerprint = boundTraceFingerprint(trace);
-    key.fuLatency = config.fuLatency;
-    key.fuCount = config.fuCount;
-    key.forwardLatency = config.forwardLatency;
-    key.storeLatency = config.storeLatency;
-    key.resultBuses = config.resultBuses;
-    key.commitWidth = config.commitWidth;
-    key.branchTakenPenalty = config.branchTakenPenalty;
-    key.predictedTakenPenalty = config.predictedTakenPenalty;
-    key.mispredictPenalty = config.mispredictPenalty;
-
-    ResourceBoundCache &cache = resourceBoundCache();
-    {
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        ++cache.stats.lookups;
-        auto it = cache.entries.find(key);
-        if (it != cache.entries.end()) {
-            ++cache.stats.hits;
-            return it->second;
-        }
-    }
-    // Compute outside the lock (the bound is deterministic, so a
-    // racing duplicate computation is wasted work, not wrong work).
-    ResourceBound bound = resourceBound(trace, config);
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.entries.emplace(key, bound).first->second;
+    ResourceBoundKey key{config.fuLatency,
+                         config.fuCount,
+                         config.forwardLatency,
+                         config.storeLatency,
+                         config.resultBuses,
+                         config.commitWidth,
+                         config.branchTakenPenalty,
+                         config.predictedTakenPenalty,
+                         config.mispredictPenalty};
+    return *trace.memo()->get<ResourceBound>(
+        TraceArtifact::ResourceBound, key,
+        [&] { return resourceBound(trace, config); });
 }
 
 BoundCacheStats
 resourceBoundCacheStats()
 {
-    ResourceBoundCache &cache = resourceBoundCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.stats;
+    return TraceMemo::stats(TraceArtifact::ResourceBound);
 }
 
 } // namespace ruu::lint

@@ -148,22 +148,22 @@ ResourceBound resourceBound(const Trace &trace,
                             const UarchConfig &config);
 
 /**
- * Memoized resourceBound. Keyed on the trace's identity (address,
- * length, content fingerprint) plus every configuration field the
- * floors read: fuLatency, fuCount, forwardLatency, storeLatency,
- * resultBuses, commitWidth, and the branch penalties. Invariant across
- * pool-size sweep points, so sweeps share one computation per trace.
- * Thread-safe; entries are never evicted and the returned reference is
- * stable for the process lifetime.
+ * Memoized resourceBound, held in the trace's memo (trace/memo.hh)
+ * keyed on every configuration field the floors read: fuLatency,
+ * fuCount, forwardLatency, storeLatency, resultBuses, commitWidth, and
+ * the branch penalties. Invariant across pool-size sweep points, so
+ * sweeps share one computation per trace. Thread-safe; the returned
+ * reference is valid while the trace, or a copy sharing its memo, is
+ * alive.
  */
 const ResourceBound &cachedResourceBound(const Trace &trace,
                                          const UarchConfig &config);
 
 /**
- * Counters of cachedResourceBound since process start. Like
+ * Counters of cachedResourceBound across all traces. Like
  * boundCacheStats(), the counters are process-global: concurrent
- * lookups from a parallel sweep are aggregated under one mutex, and
- * tests must assert on deltas, not absolute values.
+ * lookups from a parallel sweep are aggregated, and tests must assert
+ * on deltas, not absolute values.
  */
 BoundCacheStats resourceBoundCacheStats();
 

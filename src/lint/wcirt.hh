@@ -171,11 +171,11 @@ WcirtBound wcirtBound(const Trace &trace, const Program &handler,
                       const WcirtParams &params = {});
 
 /**
- * Memoized wcirtBound. Keyed on the trace's identity (address, length,
- * content fingerprint), the handler's identity, the core scheme, the
- * trap parameters, and every configuration field the ceiling reads.
- * Thread-safe; entries are never evicted and the returned reference is
- * stable for the process lifetime — sweep workers under -j share one
+ * Memoized wcirtBound, held in the trace's memo (trace/memo.hh) keyed
+ * on the handler's Program::contentHash, the core scheme, the trap
+ * parameters, and every configuration field the ceiling reads.
+ * Thread-safe; the returned reference is valid while the trace, or a
+ * copy sharing its memo, is alive — sweep workers under -j share one
  * computation per key.
  */
 const WcirtBound &cachedWcirtBound(const Trace &trace,
@@ -184,7 +184,7 @@ const WcirtBound &cachedWcirtBound(const Trace &trace,
                                    CoreKind kind,
                                    const WcirtParams &params = {});
 
-/** Counters of cachedWcirtBound since process start (delta-assert). */
+/** Counters of cachedWcirtBound across all traces (delta-assert). */
 BoundCacheStats wcirtBoundCacheStats();
 
 /**

@@ -29,7 +29,7 @@ runOneWorkload(Core &core, const Workload &workload,
     // structural floors: a cycle count below the certified resource
     // bound means the core (or the bound) is broken, and the tables
     // must not be printed from it. The bound is invariant across
-    // pool-size sweep points, so it comes from the process-wide cache.
+    // pool-size sweep points, so it comes from the trace's memo.
     const lint::ResourceBound &bound =
         lint::cachedResourceBound(workload.trace(), config);
     if (run.cycles < bound.cycles)

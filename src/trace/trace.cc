@@ -5,6 +5,18 @@
 namespace ruu
 {
 
+std::array<TraceMemo::Counters, kNumTraceArtifacts> TraceMemo::_counters;
+
+MemoStats
+TraceMemo::stats(TraceArtifact kind)
+{
+    const Counters &counters = _counters[static_cast<std::size_t>(kind)];
+    MemoStats stats;
+    stats.lookups = counters.lookups.load(std::memory_order_relaxed);
+    stats.hits = counters.hits.load(std::memory_order_relaxed);
+    return stats;
+}
+
 const TraceRecord &
 Trace::at(SeqNum seq) const
 {

@@ -13,6 +13,9 @@
  * Faults can be annotated onto trace positions after generation; this
  * is how the precise-interrupt experiments inject page faults and
  * arithmetic exceptions at arbitrary dynamic instructions.
+ *
+ * Data derived from a trace (compiled stream, bounds, content hash)
+ * lives in the trace's TraceMemo (trace/memo.hh), which copies share.
  */
 
 #ifndef RUU_TRACE_TRACE_HH
@@ -26,6 +29,7 @@
 #include "asm/program.hh"
 #include "common/types.hh"
 #include "isa/instruction.hh"
+#include "trace/memo.hh"
 
 namespace ruu
 {
@@ -74,8 +78,17 @@ class Trace
     /** All records. */
     const std::vector<TraceRecord> &records() const { return _records; }
 
-    /** Append a record (functional simulator only). */
-    void append(TraceRecord record) { _records.push_back(record); }
+    /**
+     * Append a record (functional simulator only). The content changes,
+     * so a memo that holds artifacts or is shared with a copy is
+     * replaced by a fresh one.
+     */
+    void append(TraceRecord record)
+    {
+        _records.push_back(record);
+        if (_memo.use_count() != 1 || _memo->used())
+            _memo = std::make_shared<TraceMemo>();
+    }
 
     /**
      * Annotate dynamic instruction @p seq with @p fault.
@@ -86,8 +99,19 @@ class Trace
      */
     void injectFault(SeqNum seq, Fault fault);
 
-    /** Remove all fault annotations. */
+    /**
+     * Remove all fault annotations. Neither this nor injectFault()
+     * touches the memo: no derived artifact reads the fault field.
+     */
     void clearFaults();
+
+    /**
+     * The memo of data derived from this trace, shared by its copies.
+     * Values stored in it stay valid while this trace or a copy
+     * sharing the memo is alive. A moved-from trace holds none until
+     * it is assigned or appended to.
+     */
+    const std::shared_ptr<TraceMemo> &memo() const { return _memo; }
 
     /** Count of dynamic conditional branches. */
     std::size_t countCondBranches() const;
@@ -98,6 +122,7 @@ class Trace
   private:
     std::shared_ptr<const Program> _program;
     std::vector<TraceRecord> _records;
+    std::shared_ptr<TraceMemo> _memo = std::make_shared<TraceMemo>();
 };
 
 } // namespace ruu

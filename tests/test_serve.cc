@@ -697,6 +697,73 @@ TEST_F(ServeDirs, PeriodicJobIsTheCliStormCellPrunedAlike)
     daemon.join();
 }
 
+TEST_F(ServeDirs, EditedProgramUnderOneNameIsNotAStaleCacheHit)
+{
+    // fib.s with `sadd S3, S1, S2` edited to `fmul`: the same name,
+    // trace length, pcs and addresses, but a different computation.
+    // The cache key must see the edit, so the second submission runs
+    // cold and matches `ruusim run prog.s --core ruu --json`.
+    const std::string fib = ".program fib\n"
+                            "    smovi S1, 0\n"
+                            "    smovi S2, 1\n"
+                            "    amovi A1, 0\n"
+                            "    amovi A6, 1\n"
+                            "    amovi A5, 24\n"
+                            "loop:\n"
+                            "    sts   2000(A1), S1\n"
+                            "    sadd  S3, S1, S2\n"
+                            "    movs  S1, S2\n"
+                            "    movs  S2, S3\n"
+                            "    aadd  A1, A1, A6\n"
+                            "    asub  A0, A1, A5\n"
+                            "    jam   loop\n"
+                            "    halt\n";
+    std::string edited = fib;
+    edited.replace(edited.find("sadd  S3"), 4, "fmul");
+
+    auto cold = [](const std::string &source) {
+        Workload workload = workloadFromSource(source);
+        workload.name = "prog.s";
+        auto core = makeCore(CoreKind::Ruu, UarchConfig::cray1());
+        RunResult run = core->run(workload.trace());
+        return runToJson(workload.name, core->name(), run,
+                         core->stats());
+    };
+
+    serve::ServerOptions options;
+    options.socketPath = dir("sock");
+    options.cacheDir = dir("cache");
+    std::thread daemon([&] {
+        auto result = serve::runServer(options);
+        EXPECT_TRUE(result.ok()) << result.error().message();
+    });
+    serve::ServeClient client;
+    connectClient(client, options.socketPath);
+
+    auto submit = [&](const std::string &id, const std::string &source) {
+        Request job;
+        job.op = Op::Submit;
+        job.job.id = id;
+        job.job.name = "prog.s";
+        job.job.program = source;
+        EXPECT_TRUE(client.request(serve::requestToLine(job)).ok());
+        EXPECT_TRUE(client.sendLine("{\"op\": \"run\"}").ok());
+        flat::Object result = readResult(client);
+        readResult(client); // summary
+        EXPECT_EQ(flat::getString(result, "status").value(), "done");
+        auto payload = flat::getString(result, "payload");
+        return payload.ok() ? *payload : std::string();
+    };
+    const std::string original = submit("original", fib);
+    const std::string changed = submit("edited", edited);
+    EXPECT_EQ(original, cold(fib));
+    EXPECT_EQ(changed, cold(edited));
+    EXPECT_NE(changed, original);
+
+    ASSERT_TRUE(client.request("{\"op\": \"shutdown\"}").ok());
+    daemon.join();
+}
+
 // ---------------------------------------------------------------------
 // The headline: SIGKILL mid-batch, restart, byte-identical results.
 
