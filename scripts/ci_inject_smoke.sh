@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Fault-injection smoke for CI: a small seeded campaign must complete
-# with every trial classified, survive a mid-campaign stop, resume from
-# its journal to the exact same per-trial records, and replay a single
-# trial bit-identically to its journal line.
+# with every trial classified, survive a mid-campaign stop and a torn
+# final journal line, resume from its journal to the exact same
+# per-trial records, and replay a single trial bit-identically to its
+# journal line.
 #
 #   usage: scripts/ci_inject_smoke.sh <ruusim-binary> [workdir]
 #
@@ -48,6 +49,10 @@ if [ "$status" -ne 3 ]; then
     echo "--stop-after should exit 3, got $status" >&2
     exit 1
 fi
+
+echo "== a torn final line (kill -9 mid-append) is dropped on resume"
+next=$(sed -n "$((half + 2))p" "$WORKDIR/full.jsonl")
+printf '%s' "${next:0:$((${#next} / 2))}" >> "$WORKDIR/split.jsonl"
 run_inject --journal "$WORKDIR/split.jsonl" >/dev/null
 if ! cmp -s "$WORKDIR/full.jsonl" "$WORKDIR/split.jsonl"; then
     echo "resumed journal differs from the uninterrupted one" >&2

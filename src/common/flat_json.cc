@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <sstream>
 
 namespace ruu::flat
 {
@@ -190,6 +191,58 @@ escape(const std::string &text)
                 out += c;
             }
         }
+    }
+    return out;
+}
+
+std::string
+joinCommas(const std::vector<std::string> &items)
+{
+    std::string out;
+    for (const std::string &item : items) {
+        if (!out.empty())
+            out += ',';
+        out += item;
+    }
+    return out;
+}
+
+std::vector<std::string>
+splitCommas(const std::string &joined)
+{
+    std::vector<std::string> out;
+    std::string item;
+    std::istringstream in(joined);
+    while (std::getline(in, item, ','))
+        if (!item.empty())
+            out.push_back(item);
+    return out;
+}
+
+std::string
+joinNumbers(const std::vector<std::uint64_t> &items)
+{
+    std::string out;
+    for (std::uint64_t item : items) {
+        if (!out.empty())
+            out += ',';
+        out += std::to_string(item);
+    }
+    return out;
+}
+
+Expected<std::vector<std::uint64_t>>
+splitNumbers(const std::string &joined)
+{
+    std::vector<std::uint64_t> out;
+    for (const std::string &item : splitCommas(joined)) {
+        std::uint64_t value = 0;
+        for (char c : item) {
+            if (c < '0' || c > '9')
+                return Error("'" + item + "' is not an unsigned integer");
+            value = value * 10 + static_cast<std::uint64_t>(c - '0');
+        }
+        out.push_back(value);
     }
     return out;
 }

@@ -1,11 +1,11 @@
 /**
  * @file
  * The flat one-line JSON dialect shared by every durable line format
- * in the repo: the inject campaign journal (inject/journal.cc), the
- * serve protocol (serve/protocol.hh), the serve result cache and
- * recovery journal. One object per line, values only strings and
- * unsigned integers, so readers need no JSON dependency and a torn
- * line is detectable by a failed parse.
+ * in the repo: the journals of common/journal.hh (inject campaign,
+ * serve recovery, campaign queue), the serve protocol
+ * (serve/protocol.hh) and the serve result cache. One object per
+ * line, values only strings and unsigned integers, so readers need no
+ * JSON dependency and a torn line is detectable by a failed parse.
  *
  * Hoisted out of inject/journal.cc when the serve subsystem arrived;
  * the grammar is pinned by the journal format and must not grow
@@ -19,6 +19,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/error.hh"
 
@@ -43,6 +44,18 @@ Expected<Object> parseObject(const std::string &text);
 
 /** Escape @p text for embedding in a flat-JSON string literal. */
 std::string escape(const std::string &text);
+
+/**
+ * The comma-joined list spelling that string values use for lists
+ * ("ruu,history"). Splitting drops empty items, so "" is the empty
+ * list.
+ */
+std::string joinCommas(const std::vector<std::string> &items);
+std::vector<std::string> splitCommas(const std::string &joined);
+
+/** The same spelling for unsigned integers ("100,250"). */
+std::string joinNumbers(const std::vector<std::uint64_t> &items);
+Expected<std::vector<std::uint64_t>> splitNumbers(const std::string &joined);
 
 /** The value of @p key, which must be a number. */
 Expected<std::uint64_t> getNumber(const Object &object,

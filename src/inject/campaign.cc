@@ -1,16 +1,13 @@
 #include "inject/campaign.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <fstream>
-#include <sstream>
-
-#include <unistd.h>
 
 #include "arch/executor.hh"
+#include "common/flat_json.hh"
+#include "common/journal.hh"
 #include "inject/sandbox.hh"
 #include "oracle/commit_oracle.hh"
 #include "par/ordered.hh"
@@ -55,18 +52,20 @@ configSignature(const CampaignOptions &options)
     return sig;
 }
 
-JournalHeader
+journal::Header
 makeHeader(const CampaignOptions &options)
 {
-    JournalHeader header;
-    header.seed = options.seed;
-    header.trials = options.trials;
+    std::vector<std::string> cores, workloads;
     for (CoreKind kind : options.cores)
-        header.cores.push_back(coreKindName(kind));
+        cores.push_back(coreKindName(kind));
     for (const Workload &workload : options.workloads)
-        header.workloads.push_back(workload.name);
-    header.config = configSignature(options);
-    return header;
+        workloads.push_back(workload.name);
+    return journal::Header(kJournalKind)
+        .number("seed", options.seed)
+        .number("trials", options.trials)
+        .text("cores", flat::joinCommas(cores))
+        .text("workloads", flat::joinCommas(workloads))
+        .text("config", configSignature(options));
 }
 
 Expected<bool>
@@ -399,32 +398,20 @@ runCampaign(const CampaignOptions &options)
         return valid.error();
 
     CampaignSummary summary;
-    summary.header = makeHeader(options);
-
     std::vector<bool> done(options.trials, false);
     std::vector<TrialResult> results(options.trials);
 
-    JournalWriter writer;
-    bool journalExists = false;
+    io::AppendFile journalFile;
     if (!options.journalPath.empty()) {
-        std::ifstream probe_stream(options.journalPath);
-        journalExists = probe_stream.good();
-    }
-    if (journalExists) {
-        auto journal = readJournal(options.journalPath);
-        if (!journal)
-            return Error(journal.error()).context("resume");
-        const JournalHeader &h = journal->header;
-        if (h.seed != summary.header.seed ||
-            h.trials != summary.header.trials ||
-            h.cores != summary.header.cores ||
-            h.workloads != summary.header.workloads ||
-            h.config != summary.header.config)
-            return Error("journal '" + options.journalPath +
-                         "' describes a different campaign (seed, "
-                         "trials, cores, workloads, or configuration "
-                         "differ)");
-        for (const TrialResult &trial : journal->trials) {
+        std::vector<TrialResult> journaled;
+        if (auto opened = journal::open(
+                journalFile, options.journalPath, makeHeader(options),
+                journal::collectInto(journaled, parseTrialLine),
+                "'" + options.journalPath +
+                    "' describes a different campaign");
+            !opened)
+            return Error(opened.error()).context("journal");
+        for (const TrialResult &trial : journaled) {
             if (trial.point.index >= options.trials)
                 return Error("journal '" + options.journalPath +
                              "' has out-of-range trial index " +
@@ -434,19 +421,6 @@ runCampaign(const CampaignOptions &options)
             done[trial.point.index] = true;
             results[trial.point.index] = trial;
         }
-        if (journal->tornTail &&
-            ::truncate(options.journalPath.c_str(),
-                       static_cast<off_t>(journal->validBytes)) != 0)
-            return Error("cannot drop the torn tail of journal '" +
-                         options.journalPath + "': " +
-                         std::strerror(errno));
-        if (auto opened = writer.append(options.journalPath); !opened)
-            return opened.error();
-    } else if (!options.journalPath.empty()) {
-        if (auto created =
-                writer.create(options.journalPath, summary.header);
-            !created)
-            return created.error();
     }
 
     TrialSampler sampler(options);
@@ -472,9 +446,10 @@ runCampaign(const CampaignOptions &options)
     par::OrderedCommitter<TrialResult> committer(
         [&](std::size_t pos, const TrialResult &ready) -> Expected<bool> {
             std::uint64_t index = pending[pos];
-            if (writer.isOpen())
-                if (auto wrote = writer.add(ready); !wrote)
-                    return wrote.error();
+            if (journalFile.isOpen())
+                if (auto wrote = journalFile.appendLine(trialToLine(ready));
+                    !wrote)
+                    return Error(wrote.error()).context("journal");
             results[index] = ready;
             done[index] = true;
             ++summary.executed;

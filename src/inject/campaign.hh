@@ -141,7 +141,6 @@ struct CampaignOptions
 /** A finished (or early-stopped) campaign. */
 struct CampaignSummary
 {
-    JournalHeader header;
     std::vector<TrialResult> trials; //!< all known trials, index order
     std::uint64_t resumed = 0;  //!< trials recovered from the journal
     std::uint64_t executed = 0; //!< trials run by this invocation

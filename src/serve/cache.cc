@@ -56,6 +56,27 @@ keyToHex(std::uint64_t key)
     return buf;
 }
 
+Expected<std::uint64_t>
+getHexKey(const flat::Object &object, const std::string &key)
+{
+    auto text = flat::getString(object, key);
+    if (!text)
+        return text.error();
+    if (text->size() != 16)
+        return Error("key '" + key + "' is not a 16-hex-digit value");
+    std::uint64_t value = 0;
+    for (char c : *text) {
+        value <<= 4;
+        if (c >= '0' && c <= '9')
+            value |= static_cast<std::uint64_t>(c - '0');
+        else if (c >= 'a' && c <= 'f')
+            value |= static_cast<std::uint64_t>(c - 'a' + 10);
+        else
+            return Error("key '" + key + "' has a non-hex digit");
+    }
+    return value;
+}
+
 std::string
 ResultCache::entryPath(std::uint64_t key) const
 {

@@ -30,6 +30,7 @@
 #include <string>
 
 #include "common/error.hh"
+#include "common/flat_json.hh"
 
 namespace ruu::serve
 {
@@ -63,6 +64,10 @@ std::uint64_t cacheKey(const CacheKeyInputs &inputs);
 
 /** @p key as the 16-hex-digit spelling used in filenames and lines. */
 std::string keyToHex(std::uint64_t key);
+
+/** The keyToHex spelling stored at @p key in @p object, parsed back. */
+Expected<std::uint64_t> getHexKey(const flat::Object &object,
+                                  const std::string &key);
 
 /** On-disk cache over one directory. */
 class ResultCache

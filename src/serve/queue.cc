@@ -2,93 +2,20 @@
 
 #include <sstream>
 
-#include <sys/stat.h>
-
-#include "common/file.hh"
 #include "common/flat_json.hh"
+#include "common/journal.hh"
 #include "serve/cache.hh"
 
 namespace ruu::serve
 {
 
+using flat::joinCommas;
+using flat::joinNumbers;
+using flat::splitCommas;
+using flat::splitNumbers;
+
 namespace
 {
-
-const char *const kQueueKind = "ruu-serve-queue";
-
-std::string
-joinCommas(const std::vector<std::string> &items)
-{
-    std::string out;
-    for (const std::string &item : items) {
-        if (!out.empty())
-            out += ',';
-        out += item;
-    }
-    return out;
-}
-
-std::string
-joinNumbers(const std::vector<std::uint64_t> &items)
-{
-    std::string out;
-    for (std::uint64_t item : items) {
-        if (!out.empty())
-            out += ',';
-        out += std::to_string(item);
-    }
-    return out;
-}
-
-std::vector<std::string>
-splitCommas(const std::string &joined)
-{
-    std::vector<std::string> out;
-    std::string item;
-    std::istringstream in(joined);
-    while (std::getline(in, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-Expected<std::vector<std::uint64_t>>
-splitNumbers(const std::string &joined)
-{
-    std::vector<std::uint64_t> out;
-    for (const std::string &item : splitCommas(joined)) {
-        std::uint64_t value = 0;
-        for (char c : item) {
-            if (c < '0' || c > '9')
-                return Error("'" + item +
-                             "' is not an unsigned integer");
-            value = value * 10 + static_cast<std::uint64_t>(c - '0');
-        }
-        out.push_back(value);
-    }
-    return out;
-}
-
-Expected<std::uint64_t>
-getHexKey(const flat::Object &object, const std::string &key)
-{
-    auto text = flat::getString(object, key);
-    if (!text)
-        return text.error();
-    if (text->size() != 16)
-        return Error("key '" + key + "' is not a 16-hex-digit value");
-    std::uint64_t value = 0;
-    for (char c : *text) {
-        value <<= 4;
-        if (c >= '0' && c <= '9')
-            value |= static_cast<std::uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            value |= static_cast<std::uint64_t>(c - 'a' + 10);
-        else
-            return Error("key '" + key + "' has a non-hex digit");
-    }
-    return value;
-}
 
 Expected<JobStatus>
 jobStatusFromName(const std::string &name)
@@ -172,16 +99,6 @@ unitPhaseName(UnitPhase phase)
 }
 
 std::string
-queueHeaderToLine(const QueueHeader &header)
-{
-    std::ostringstream os;
-    os << "{\"kind\": \"" << kQueueKind << "\""
-       << ", \"version\": " << header.version
-       << ", \"cache\": \"" << flat::escape(header.cacheDir) << "\"}";
-    return os.str();
-}
-
-std::string
 queueRecordToLine(const QueueRecord &record)
 {
     std::ostringstream os;
@@ -221,32 +138,6 @@ queueRecordToLine(const QueueRecord &record)
         break;
     }
     return os.str();
-}
-
-Expected<QueueHeader>
-parseQueueHeaderLine(const std::string &line)
-{
-    auto object = flat::parseObject(line);
-    if (!object)
-        return Error(object.error()).context("queue journal header");
-    auto kind = flat::getString(*object, "kind");
-    if (!kind)
-        return Error(kind.error()).context("queue journal header");
-    if (*kind != kQueueKind)
-        return Error("queue journal header: kind '" + *kind +
-                     "' is not '" + kQueueKind + "'");
-    auto version = flat::getNumber(*object, "version");
-    auto cache = flat::getString(*object, "cache");
-    for (const Error *e : {version.errorOrNull(), cache.errorOrNull()})
-        if (e)
-            return Error(e->message()).context("queue journal header");
-    if (*version != 1)
-        return Error("queue journal header: unsupported version " +
-                     std::to_string(*version));
-    QueueHeader header;
-    header.version = *version;
-    header.cacheDir = *cache;
-    return header;
 }
 
 Expected<QueueRecord>
@@ -337,64 +228,6 @@ parseQueueRecordLine(const std::string &line)
     return Error("unknown record '" + *rec + "'");
 }
 
-Expected<QueueJournalContents>
-readQueueJournal(const std::string &path)
-{
-    auto text = readTextFile(path);
-    if (!text)
-        return Error(text.error()).context("queue journal");
-    QueueJournalContents contents;
-    contents.validBytes = text->size();
-    struct RawLine
-    {
-        std::size_t number;
-        std::size_t start;
-        std::string text;
-    };
-    std::vector<RawLine> recordLines;
-    bool sawHeader = false;
-    std::size_t lineNo = 0, pos = 0;
-    while (pos < text->size()) {
-        std::size_t eol = text->find('\n', pos);
-        std::size_t end = eol == std::string::npos ? text->size() : eol;
-        std::string line = text->substr(pos, end - pos);
-        std::size_t start = pos;
-        pos = eol == std::string::npos ? text->size() : eol + 1;
-        ++lineNo;
-        if (line.empty())
-            continue;
-        if (!sawHeader) {
-            auto header = parseQueueHeaderLine(line);
-            if (!header)
-                return Error(header.error())
-                    .context("'" + path + "' line " +
-                             std::to_string(lineNo));
-            contents.header = *header;
-            sawHeader = true;
-            continue;
-        }
-        recordLines.push_back({lineNo, start, std::move(line)});
-    }
-    if (!sawHeader)
-        return Error("queue journal '" + path + "' has no header line");
-    for (std::size_t i = 0; i < recordLines.size(); ++i) {
-        auto record = parseQueueRecordLine(recordLines[i].text);
-        if (!record) {
-            if (i + 1 == recordLines.size()) {
-                // The signature of a daemon killed mid-append.
-                contents.tornTail = true;
-                contents.validBytes = recordLines[i].start;
-                break;
-            }
-            return Error(record.error())
-                .context("'" + path + "' line " +
-                         std::to_string(recordLines[i].number));
-        }
-        contents.records.push_back(*record);
-    }
-    return contents;
-}
-
 CampaignQueue::CampaignEntry *
 CampaignQueue::findLocked(const std::string &id)
 {
@@ -429,34 +262,19 @@ CampaignQueue::open(const std::string &path, const std::string &cacheDir,
     if (!_durable)
         return true;
 
-    struct stat st;
-    if (::stat(path.c_str(), &st) != 0) {
-        QueueHeader header;
-        header.cacheDir = cacheDir;
-        if (auto created = _journal.create(path); !created)
-            return Error(created.error()).context("queue journal");
-        if (auto wrote = _journal.appendLine(queueHeaderToLine(header));
-            !wrote)
-            return Error(wrote.error()).context("queue journal");
-        return true;
-    }
-
-    auto contents = readQueueJournal(path);
-    if (!contents)
-        return contents.error();
     // The header pins which cache the unit records certify payloads
     // in; recovering against a different cache would vouch for
     // entries nobody ever wrote there.
-    if (contents->header.cacheDir != cacheDir)
-        return Error("queue journal '" + path + "' pins cache '" +
-                     contents->header.cacheDir + "', not '" + cacheDir +
-                     "'");
-    if (contents->tornTail)
-        if (auto cut = io::truncateFile(path, contents->validBytes);
-            !cut)
-            return Error(cut.error()).context("queue journal");
+    std::vector<QueueRecord> records;
+    if (auto opened = journal::open(
+            _journal, path,
+            journal::Header(kQueueJournalKind).text("cache", cacheDir),
+            journal::collectInto(records, parseQueueRecordLine),
+            "'" + path + "' pins cache directory");
+        !opened)
+        return Error(opened.error()).context("queue journal");
 
-    for (const QueueRecord &record : contents->records) {
+    for (const QueueRecord &record : records) {
         switch (record.type) {
           case QueueRecord::Type::Campaign: {
             if (findLocked(record.campaign.id))
@@ -519,9 +337,6 @@ CampaignQueue::open(const std::string &path, const std::string &cacheDir,
           }
         }
     }
-
-    if (auto opened = _journal.append(path); !opened)
-        return Error(opened.error()).context("queue journal");
     return true;
 }
 

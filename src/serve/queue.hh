@@ -5,11 +5,11 @@
  * A campaign (serve/protocol.hh CampaignSpec) names a sweep — plain
  * runs, interrupt storms, or fault-injection trials over built-in
  * kernels and core schemes. The daemon persists the spec in an
- * append-only queue journal (the inject journal's flat-JSON dialect
- * and discipline: identity-pinning header, one record per line,
- * fsync per append, torn FINAL line tolerated and truncated on
- * resume, interior damage refused), expands it into deterministic
- * work units, and hands units to dispatcher threads under *leases*:
+ * append-only queue journal (common/journal.hh: identity-pinning
+ * header, one record per line, fsync per append, torn FINAL line
+ * tolerated and truncated on resume, interior damage refused),
+ * expands it into deterministic work units, and hands units to
+ * dispatcher threads under *leases*:
  *
  *   - lease()    claims a pending unit for leaseMs; past the deadline
  *                the unit silently returns to the pool (the worker is
@@ -92,12 +92,11 @@ enum class UnitPhase
 
 const char *unitPhaseName(UnitPhase phase);
 
-/** Queue journal identity line (first line of the file). */
-struct QueueHeader
-{
-    std::uint64_t version = 1;
-    std::string cacheDir; //!< pins which cache certifies done units
-};
+/**
+ * The header kind of the queue journal (common/journal.hh). Its one
+ * identity field, "cache", pins which cache certifies done units.
+ */
+inline constexpr const char *kQueueJournalKind = "ruu-serve-queue";
 
 /** One replayable journal record. */
 struct QueueRecord
@@ -120,25 +119,8 @@ struct QueueRecord
     std::string error;          //!< failed unit's diagnostic
 };
 
-std::string queueHeaderToLine(const QueueHeader &header);
 std::string queueRecordToLine(const QueueRecord &record);
-Expected<QueueHeader> parseQueueHeaderLine(const std::string &line);
 Expected<QueueRecord> parseQueueRecordLine(const std::string &line);
-
-/** A fully parsed queue journal. */
-struct QueueJournalContents
-{
-    QueueHeader header;
-    std::vector<QueueRecord> records;
-    bool tornTail = false;     //!< last line incomplete and dropped
-    std::size_t validBytes = 0; //!< byte extent of the valid prefix
-};
-
-/**
- * Read and validate a whole queue journal. Tolerates a torn final
- * line; rejects a missing/invalid header or malformed interior line.
- */
-Expected<QueueJournalContents> readQueueJournal(const std::string &path);
 
 /** A claimed unit, everything a dispatcher needs to run it. */
 struct Lease

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <fstream>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -16,7 +15,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/flat_json.hh"
 #include "common/io_faults.hh"
+#include "common/journal.hh"
 #include "common/logging.hh"
 #include "engine/engine.hh"
 #include "inject/campaign.hh"
@@ -27,7 +28,6 @@
 #include "serve/cache.hh"
 #include "serve/protocol.hh"
 #include "serve/queue.hh"
-#include "serve/recovery.hh"
 #include "sim/json.hh"
 #include "sim/machine.hh"
 #include "trap/storm.hh"
@@ -118,7 +118,7 @@ class Server
     std::mutex _statsMutex; //!< _stats is touched from every thread
     ResultCache _cache;
     std::mutex _cacheMutex;
-    ServeJournalWriter _journal;
+    io::AppendFile _journal;
     CampaignQueue _campaignQueue;
     std::vector<std::thread> _dispatchers;
     par::Pool _pool;
@@ -134,42 +134,26 @@ Server::recover()
 {
     if (_options.journalPath.empty())
         return true;
-    bool exists = false;
-    {
-        std::ifstream probe(_options.journalPath);
-        exists = probe.good();
-    }
-    if (!exists) {
-        ServeJournalHeader header;
-        header.cacheDir = _options.cacheDir;
-        return _journal.create(_options.journalPath, header);
-    }
-    auto contents = readServeJournal(_options.journalPath);
-    if (!contents)
-        return Error(contents.error()).context("serve recovery");
     // Identity pinning: a journal only vouches for the cache it was
     // written against; replaying it onto a different directory would
     // "recover" entries it knows nothing about.
-    if (contents->header.cacheDir != _options.cacheDir)
-        return Error("serve journal '" + _options.journalPath +
-                     "' pins cache directory '" +
-                     contents->header.cacheDir + "', not '" +
-                     _options.cacheDir + "'");
-    if (contents->tornTail)
-        if (auto cut = io::truncateFile(_options.journalPath,
-                                        contents->validBytes);
-            !cut)
-            return Error(cut.error())
-                .context("cannot drop the torn tail of serve journal '" +
-                         _options.journalPath + "'");
+    std::vector<JobRecord> records;
+    if (auto opened = journal::open(
+            _journal, _options.journalPath,
+            journal::Header(kServeJournalKind)
+                .text("cache", _options.cacheDir),
+            journal::collectInto(records, parseJobRecordLine),
+            "'" + _options.journalPath + "' pins cache directory");
+        !opened)
+        return Error(opened.error()).context("serve journal");
     // Each journaled completion vouches for one cache entry; entries
     // the journal and cache disagree on are deleted so the job simply
     // recomputes — corruption degrades to work, never to wrong bytes.
-    for (const JobRecord &record : contents->records)
+    for (const JobRecord &record : records)
         if (_cache.verifyAgainst(record.key, record.checksum,
                                  record.bytes))
             ++_stats.recovered;
-    return _journal.append(_options.journalPath);
+    return true;
 }
 
 std::string
@@ -252,11 +236,6 @@ Server::runJob(const JobSpec &job, std::size_t index)
             return out;
         }
         config = parsed.take();
-    }
-    if (std::string problem = config.validate(); !problem.empty()) {
-        out.status = JobStatus::Rejected;
-        out.text = "bad config: " + problem;
-        return out;
     }
 
     // Resolve the workload. Kernel names share the process-wide cached
@@ -415,12 +394,6 @@ Server::runInjectUnit(const Lease &lease)
             return out;
         }
         options.config = parsed.take();
-        if (std::string problem = options.config.validate();
-            !problem.empty()) {
-            out.status = JobStatus::Rejected;
-            out.text = "bad config: " + problem;
-            return out;
-        }
     }
     options.trials = spec.trials;
     options.seed = spec.seed;
@@ -662,8 +635,11 @@ Server::runBatch(int fd, bool &connAlive)
                     record.key = out.key;
                     record.checksum = fnv1a(out.text);
                     record.bytes = out.text.size();
-                    if (auto added = _journal.add(record); !added)
-                        return added.error();
+                    if (auto added =
+                            _journal.appendLine(jobRecordToLine(record));
+                        !added)
+                        return Error(added.error())
+                            .context("serve journal");
                 }
             }
             {
@@ -982,6 +958,36 @@ Server::run()
 }
 
 } // namespace
+
+std::string
+jobRecordToLine(const JobRecord &record)
+{
+    std::ostringstream os;
+    os << "{\"key\": \"" << keyToHex(record.key) << "\""
+       << ", \"checksum\": \"" << keyToHex(record.checksum) << "\""
+       << ", \"bytes\": " << record.bytes << "}";
+    return os.str();
+}
+
+Expected<JobRecord>
+parseJobRecordLine(const std::string &line)
+{
+    auto object = flat::parseObject(line);
+    if (!object)
+        return object.error();
+    auto key = getHexKey(*object, "key");
+    auto checksum = getHexKey(*object, "checksum");
+    auto bytes = flat::getNumber(*object, "bytes");
+    for (const Error *e : {key.errorOrNull(), checksum.errorOrNull(),
+                           bytes.errorOrNull()})
+        if (e)
+            return Error(e->message());
+    JobRecord record;
+    record.key = *key;
+    record.checksum = *checksum;
+    record.bytes = *bytes;
+    return record;
+}
 
 Expected<int>
 runServer(const ServerOptions &options, ServerStats *statsOut)

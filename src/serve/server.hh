@@ -47,6 +47,27 @@
 namespace ruu::serve
 {
 
+/** The header kind of the recovery journal. */
+inline constexpr const char *kServeJournalKind = "ruu-serve-journal";
+
+/**
+ * One completed job's record in the recovery journal
+ * (common/journal.hh; the header pins the cache directory). The
+ * journal is the integrity record, the cache the payload store: on
+ * restart each record whose cache entry still matches its checksum is
+ * a recovered result, and any disagreement deletes the entry so the
+ * job recomputes.
+ */
+struct JobRecord
+{
+    std::uint64_t key = 0;      //!< cache content address
+    std::uint64_t checksum = 0; //!< FNV-1a of the payload
+    std::uint64_t bytes = 0;    //!< payload size
+};
+
+std::string jobRecordToLine(const JobRecord &record);
+Expected<JobRecord> parseJobRecordLine(const std::string &line);
+
 struct ServerOptions
 {
     std::string socketPath;

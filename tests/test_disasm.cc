@@ -138,6 +138,9 @@ TEST(Disasm, EveryNonBranchOpcodeRoundTripsThroughTheAssembler)
           case OperandForm::RShift:
             insts.push_back(Instruction::shift(op, regS(4), 9));
             break;
+          case OperandForm::RDst: // MFEPC, MFCAUSE: Si <- trap register
+            insts.push_back(Instruction::rdst(op, regS(5)));
+            break;
           case OperandForm::MemLoad:
             insts.push_back(Instruction::load(
                 op, op == Opcode::LDA ? regA(1) : regS(1), regA(2), 5));

@@ -1,10 +1,11 @@
 /**
  * @file
  * ruu::inject unit and integration tests: the fault-port enumeration,
- * the JSONL campaign journal (round trips, torn tails, corruption),
- * deterministic trial sampling, and end-to-end campaigns through the
- * crash-contained sandbox — including journal resume and bit-exact
- * trial replay.
+ * the campaign journal's trial-line grammar (the shared journal file
+ * discipline is tested in test_journal.cc), deterministic trial
+ * sampling, and end-to-end campaigns through the crash-contained
+ * sandbox — including journal resume, torn-tail resume under the I/O
+ * fault shim, and bit-exact trial replay.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 #include <fstream>
 
 #include "common/backoff.hh"
+#include "common/io_faults.hh"
+#include "common/journal.hh"
 #include "inject/campaign.hh"
 #include "inject/fault_port.hh"
 #include "inject/journal.hh"
@@ -179,109 +182,6 @@ TEST(Journal, TrialLineRoundTripsEscapes)
     EXPECT_EQ(parsed->detail, trial.detail);
 }
 
-TEST(Journal, HeaderLineRoundTrips)
-{
-    inject::JournalHeader header;
-    header.seed = 7;
-    header.trials = 1000;
-    header.cores = {"ruu", "history"};
-    header.workloads = {"lll01", "lll03"};
-    header.config = "{\"pool_entries\": 10}";
-    auto parsed =
-        inject::parseHeaderLine(inject::headerToLine(header));
-    ASSERT_TRUE(parsed.ok()) << parsed.error().message();
-    EXPECT_EQ(parsed->seed, header.seed);
-    EXPECT_EQ(parsed->trials, header.trials);
-    EXPECT_EQ(parsed->cores, header.cores);
-    EXPECT_EQ(parsed->workloads, header.workloads);
-    EXPECT_EQ(parsed->config, header.config);
-}
-
-class JournalFile : public ::testing::Test
-{
-  protected:
-    std::string
-    path() const
-    {
-        return ::testing::TempDir() + "inject_journal_test.jsonl";
-    }
-
-    void TearDown() override { std::remove(path().c_str()); }
-
-    inject::JournalHeader
-    header() const
-    {
-        inject::JournalHeader h;
-        h.seed = 3;
-        h.trials = 10;
-        h.cores = {"ruu"};
-        h.workloads = {"w"};
-        h.config = "cfg";
-        return h;
-    }
-};
-
-TEST_F(JournalFile, WriteReadRoundTrip)
-{
-    inject::JournalWriter writer;
-    ASSERT_TRUE(writer.create(path(), header()).ok());
-    inject::TrialResult trial = sampleTrial();
-    ASSERT_TRUE(writer.add(trial).ok());
-    trial.point.index = 43;
-    ASSERT_TRUE(writer.add(trial).ok());
-
-    auto contents = inject::readJournal(path());
-    ASSERT_TRUE(contents.ok()) << contents.error().message();
-    EXPECT_EQ(contents->header.seed, 3u);
-    EXPECT_EQ(contents->trials.size(), 2u);
-    EXPECT_FALSE(contents->tornTail);
-    EXPECT_EQ(contents->trials[1].point.index, 43u);
-}
-
-TEST_F(JournalFile, TornTailIsToleratedAndMeasured)
-{
-    inject::JournalWriter writer;
-    ASSERT_TRUE(writer.create(path(), header()).ok());
-    ASSERT_TRUE(writer.add(sampleTrial()).ok());
-    std::string full = inject::trialToLine(sampleTrial());
-    {
-        std::ofstream out(path(), std::ios::app);
-        out << full.substr(0, full.size() / 2); // torn mid-record
-    }
-    auto contents = inject::readJournal(path());
-    ASSERT_TRUE(contents.ok()) << contents.error().message();
-    EXPECT_TRUE(contents->tornTail);
-    EXPECT_EQ(contents->trials.size(), 1u);
-    // Truncating to validBytes removes exactly the fragment.
-    std::ifstream in(path(), std::ios::binary | std::ios::ate);
-    EXPECT_EQ(static_cast<std::size_t>(in.tellg()),
-              contents->validBytes + full.size() / 2);
-}
-
-TEST_F(JournalFile, CorruptInteriorLineIsAHardError)
-{
-    inject::JournalWriter writer;
-    ASSERT_TRUE(writer.create(path(), header()).ok());
-    {
-        std::ofstream out(path(), std::ios::app);
-        out << "{\"garbage\": 1}\n";
-    }
-    inject::JournalWriter appender;
-    ASSERT_TRUE(appender.append(path()).ok());
-    ASSERT_TRUE(appender.add(sampleTrial()).ok());
-    auto contents = inject::readJournal(path());
-    EXPECT_FALSE(contents.ok());
-}
-
-TEST_F(JournalFile, MissingHeaderIsAnError)
-{
-    {
-        std::ofstream out(path());
-        out << inject::trialToLine(sampleTrial()) << "\n";
-    }
-    EXPECT_FALSE(inject::readJournal(path()).ok());
-}
-
 // ---------------------------------------------------------------------
 // Sampling and campaigns
 
@@ -376,9 +276,12 @@ TEST_F(CampaignFile, RunsFullyClassifiedAndJournaled)
     EXPECT_EQ(tally[Outcome::Unclassified], 0u);
 
     // Journal carries every trial; a second run resumes all of them.
-    auto contents = inject::readJournal(path());
+    std::vector<inject::TrialResult> journaled;
+    auto contents = journal::read(
+        path(), inject::kJournalKind,
+        journal::collectInto(journaled, inject::parseTrialLine));
     ASSERT_TRUE(contents.ok()) << contents.error().message();
-    EXPECT_EQ(contents->trials.size(), options.trials);
+    EXPECT_EQ(journaled.size(), options.trials);
 
     auto resumed = inject::runCampaign(options);
     ASSERT_TRUE(resumed.ok()) << resumed.error().message();
@@ -423,6 +326,42 @@ TEST_F(CampaignFile, MismatchedJournalIsRejected)
     options.seed = options.seed + 1; // different campaign identity
     auto resumed = inject::runCampaign(options);
     EXPECT_FALSE(resumed.ok());
+}
+
+TEST_F(CampaignFile, TornTailResumeTruncatesThroughTheFaultShim)
+{
+    auto options = smallCampaign(path());
+    options.stopAfter = 5;
+    ASSERT_TRUE(inject::runCampaign(options).ok());
+    options.stopAfter = 0;
+    {
+        // A campaign killed mid-append leaves half a trial line.
+        std::string line = inject::trialToLine(sampleTrial());
+        std::ofstream out(path(), std::ios::app | std::ios::binary);
+        out << line.substr(0, line.size() / 2);
+    }
+
+    // Dropping the torn tail is a persistence write, so it runs
+    // through the checked shim: a plan that fails every operation on
+    // the journal makes the truncation itself the reported failure.
+    io::FaultPlan plan;
+    plan.errorRate = 256;
+    plan.pathPrefix = path();
+    io::setFaultPlan(plan);
+    auto refused = inject::runCampaign(options);
+    io::clearFaultPlan();
+    ASSERT_FALSE(refused.ok());
+    EXPECT_NE(refused.error().message().find("truncate"),
+              std::string::npos)
+        << refused.error().message();
+    EXPECT_NE(refused.error().message().find("(injected)"),
+              std::string::npos)
+        << refused.error().message();
+
+    auto resumed = inject::runCampaign(options);
+    ASSERT_TRUE(resumed.ok()) << resumed.error().message();
+    EXPECT_EQ(resumed->resumed, 5u);
+    EXPECT_EQ(resumed->executed, options.trials - 5);
 }
 
 TEST(Campaign, ReplayTrialIsBitExact)

@@ -2,8 +2,9 @@
  * @file
  * The crash-tolerant simulation service (src/serve/): protocol
  * round trips and strictness, the content-addressed result cache
- * (hit/miss accounting, corruption rejection), the crash-safe
- * recovery journal (torn tails, identity pinning), and the live
+ * (hit/miss accounting, corruption rejection), the recovery and
+ * queue journals' record grammars and replay (the shared journal file
+ * discipline is tested in test_journal.cc), and the live
  * daemon end-to-end — batch submission with byte-identical payloads,
  * cache warm-up, queue shedding, deadline expiry, crashing jobs, and
  * the headline robustness property: SIGKILL mid-batch, restart,
@@ -25,6 +26,7 @@
 #include <unistd.h>
 
 #include "common/flat_json.hh"
+#include "common/journal.hh"
 #include "inject/campaign.hh"
 #include "inject/journal.hh"
 #include "kernels/lll.hh"
@@ -32,7 +34,6 @@
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/queue.hh"
-#include "serve/recovery.hh"
 #include "serve/server.hh"
 #include "sim/json.hh"
 #include "sim/machine.hh"
@@ -289,14 +290,6 @@ TEST_F(ServeDirs, CacheVerifyAgainstJournalRecord)
 
 TEST(ServeJournal, LinesRoundTrip)
 {
-    serve::ServeJournalHeader header;
-    header.cacheDir = "/tmp/some cache \"dir\"";
-    auto parsedHeader =
-        serve::parseServeHeaderLine(serve::serveHeaderToLine(header));
-    ASSERT_TRUE(parsedHeader.ok()) << parsedHeader.error().message();
-    EXPECT_EQ(parsedHeader->cacheDir, header.cacheDir);
-    EXPECT_EQ(parsedHeader->version, header.version);
-
     serve::JobRecord record;
     record.key = 0xdeadbeefcafef00dull;
     record.checksum = 0x0123456789abcdefull;
@@ -307,55 +300,6 @@ TEST(ServeJournal, LinesRoundTrip)
     EXPECT_EQ(parsedRecord->key, record.key);
     EXPECT_EQ(parsedRecord->checksum, record.checksum);
     EXPECT_EQ(parsedRecord->bytes, record.bytes);
-}
-
-TEST_F(ServeDirs, JournalTornTailIsForgivenDamageIsNot)
-{
-    std::string path = dir("journal");
-    serve::ServeJournalHeader header;
-    header.cacheDir = dir("cache");
-    serve::ServeJournalWriter writer;
-    ASSERT_TRUE(writer.create(path, header).ok());
-    serve::JobRecord record;
-    record.key = 7;
-    record.checksum = 8;
-    record.bytes = 9;
-    ASSERT_TRUE(writer.add(record).ok());
-
-    auto clean = serve::readServeJournal(path);
-    ASSERT_TRUE(clean.ok()) << clean.error().message();
-    EXPECT_FALSE(clean->tornTail);
-    ASSERT_EQ(clean->records.size(), 1u);
-    EXPECT_EQ(clean->records[0].key, 7u);
-    std::size_t cleanBytes = clean->validBytes;
-
-    // SIGKILL mid-append: a half-written final line is dropped and
-    // validBytes points at the clean prefix.
-    {
-        std::ofstream torn(path, std::ios::app | std::ios::binary);
-        torn << "{\"key\": \"00000000000000";
-    }
-    auto tornBack = serve::readServeJournal(path);
-    ASSERT_TRUE(tornBack.ok()) << tornBack.error().message();
-    EXPECT_TRUE(tornBack->tornTail);
-    EXPECT_EQ(tornBack->records.size(), 1u);
-    EXPECT_EQ(tornBack->validBytes, cleanBytes);
-
-    // Damage before the final line is corruption, not a torn tail.
-    {
-        std::ofstream rewrite(path, std::ios::binary);
-        rewrite << serve::serveHeaderToLine(header) << "\n"
-                << "not a record\n"
-                << serve::jobRecordToLine(record) << "\n";
-    }
-    EXPECT_FALSE(serve::readServeJournal(path).ok());
-
-    // A journal that opens with garbage has no usable identity.
-    {
-        std::ofstream rewrite(path, std::ios::binary);
-        rewrite << "hello\n";
-    }
-    EXPECT_FALSE(serve::readServeJournal(path).ok());
 }
 
 // ---------------------------------------------------------------------
@@ -1057,9 +1001,21 @@ TEST(ServeQueue, ResubmitIsIdempotentDivergentSpecAndOverflowRefused)
     EXPECT_FALSE(queue.cancel("nope").ok());
 }
 
+/** Read a queue journal's records back through the shared reader. */
+Expected<journal::Extent>
+readQueueJournal(const std::string &path,
+                 std::vector<serve::QueueRecord> &records)
+{
+    records.clear();
+    return journal::read(
+        path, serve::kQueueJournalKind,
+        journal::collectInto(records, serve::parseQueueRecordLine));
+}
+
 TEST_F(ServeDirs, QueueJournalTornTailForgivenDamageAndPinRefused)
 {
     std::string path = dir("queue.jsonl");
+    std::vector<serve::QueueRecord> records;
 
     // First life: admit a campaign, certify one unit done and one
     // failed.
@@ -1074,10 +1030,10 @@ TEST_F(ServeDirs, QueueJournalTornTailForgivenDamageAndPinRefused)
         EXPECT_TRUE(queue.complete("c", 1, JobStatus::Rejected, false,
                                    0, 0, 0, "no such kernel"));
     }
-    auto clean = serve::readQueueJournal(path);
+    auto clean = readQueueJournal(path, records);
     ASSERT_TRUE(clean.ok()) << clean.error().message();
     EXPECT_FALSE(clean->tornTail);
-    ASSERT_EQ(clean->records.size(), 3u);
+    ASSERT_EQ(records.size(), 3u);
     std::size_t cleanBytes = clean->validBytes;
 
     // SIGKILL mid-append: the torn final line is dropped on read and
@@ -1086,10 +1042,10 @@ TEST_F(ServeDirs, QueueJournalTornTailForgivenDamageAndPinRefused)
         std::ofstream torn(path, std::ios::app | std::ios::binary);
         torn << "{\"rec\": \"unit\", \"id\": \"c";
     }
-    auto tornBack = serve::readQueueJournal(path);
+    auto tornBack = readQueueJournal(path, records);
     ASSERT_TRUE(tornBack.ok());
     EXPECT_TRUE(tornBack->tornTail);
-    EXPECT_EQ(tornBack->records.size(), 3u);
+    EXPECT_EQ(records.size(), 3u);
     EXPECT_EQ(tornBack->validBytes, cleanBytes);
     {
         serve::CampaignQueue queue;
@@ -1155,7 +1111,7 @@ TEST_F(ServeDirs, QueueJournalTornTailForgivenDamageAndPinRefused)
                 << "not a record\n"
                 << contents.substr(firstNewline + 1);
     }
-    EXPECT_FALSE(serve::readQueueJournal(path).ok());
+    EXPECT_FALSE(readQueueJournal(path, records).ok());
     {
         serve::CampaignQueue queue;
         EXPECT_FALSE(queue.open(path, dir("cache"), nullptr).ok());
@@ -1173,6 +1129,36 @@ TEST_F(ServeDirs, QueueJournalTornTailForgivenDamageAndPinRefused)
         EXPECT_NE(opened.error().message().find("pins cache"),
                   std::string::npos);
     }
+}
+
+TEST_F(ServeDirs, QueueJournalKeepsAdmissionsAfterAnUnterminatedRecord)
+{
+    // A record whose trailing newline never reached the disk still
+    // parses, so it is not a torn tail; the next append must start on
+    // a fresh line or it fuses with that record, and the following
+    // restart drops both as one torn line.
+    std::string path = dir("queue.jsonl");
+    {
+        serve::CampaignQueue queue;
+        ASSERT_TRUE(queue.open(path, dir("cache"), nullptr).ok());
+        ASSERT_TRUE(queue.submit(tinyCampaign("a"), 1024).ok());
+    }
+    std::filesystem::resize_file(path, std::filesystem::file_size(path) - 1);
+    {
+        serve::CampaignQueue queue;
+        ASSERT_TRUE(queue.open(path, dir("cache"), nullptr).ok());
+        EXPECT_TRUE(queue.campaignView("a").has_value());
+        ASSERT_TRUE(queue.submit(tinyCampaign("b"), 1024).ok());
+    }
+    serve::CampaignQueue queue;
+    ASSERT_TRUE(queue.open(path, dir("cache"), nullptr).ok());
+    EXPECT_TRUE(queue.campaignView("a").has_value()) << "a was lost";
+    EXPECT_TRUE(queue.campaignView("b").has_value()) << "b was lost";
+    std::vector<serve::QueueRecord> records;
+    auto contents = readQueueJournal(path, records);
+    ASSERT_TRUE(contents.ok()) << contents.error().message();
+    EXPECT_FALSE(contents->tornTail);
+    EXPECT_EQ(records.size(), 2u);
 }
 
 TEST_F(ServeDirs, QueueJournalFailureRefusesAdmissionButDegradesCompletion)
@@ -1493,10 +1479,13 @@ TEST_F(ServeDirs, SigkillMidCampaignRecoversByteIdentically)
 
 TEST_F(ServeDirs, JournalPinnedToAnotherCacheIsRefused)
 {
-    serve::ServeJournalHeader header;
-    header.cacheDir = "/somewhere/else";
-    serve::ServeJournalWriter writer;
-    ASSERT_TRUE(writer.create(dir("journal"), header).ok());
+    {
+        std::ofstream out(dir("journal"), std::ios::binary);
+        out << journal::Header(serve::kServeJournalKind)
+                   .text("cache", "/somewhere/else")
+                   .line()
+            << "\n";
+    }
 
     serve::ServerOptions options;
     options.socketPath = dir("sock");
