@@ -18,10 +18,9 @@
 #include <string>
 #include <vector>
 
-#include "asm/parser.hh"
 #include "common/file.hh"
-#include "kernels/lll.hh"
 #include "lint/analyze.hh"
+#include "sim/job.hh"
 
 using namespace ruu;
 
@@ -66,33 +65,19 @@ std::vector<std::pair<std::string, Program>>
 resolveTargets(const std::string &name)
 {
     std::vector<std::pair<std::string, Program>> targets;
-    if (name == "suite") {
-        for (const Kernel &kernel : livermoreKernels())
-            targets.emplace_back(kernel.name, kernel.program);
-        return targets;
-    }
-    for (const Kernel &kernel : livermoreKernels()) {
-        if (kernel.name == name) {
-            targets.emplace_back(kernel.name, kernel.program);
-            return targets;
+    for (const std::string &target : expandSuite(name)) {
+        // Malformed input — an unreadable file or a program that fails
+        // to assemble — exits 2, matching the ruusim CLI contract.
+        auto job = jobFor(target, {}, readTextFile);
+        Expected<Program> program =
+            job ? resolveProgram(*job) : Expected<Program>(job.error());
+        if (!program) {
+            std::fprintf(stderr, "ruulint: %s\n",
+                         program.error().message().c_str());
+            std::exit(2);
         }
+        targets.emplace_back(target, program.take());
     }
-    // Malformed input — an unreadable file or a program that fails to
-    // assemble — exits 2, matching the ruusim CLI contract.
-    Expected<std::string> source = readTextFile(name);
-    if (!source.ok()) {
-        std::fprintf(stderr, "ruulint: %s\n",
-                     source.error().message().c_str());
-        std::exit(2);
-    }
-    AsmResult assembled = assemble(*source, name);
-    if (!assembled.ok()) {
-        for (const auto &error : assembled.errors)
-            std::fprintf(stderr, "%s: %s\n", name.c_str(),
-                         error.toString().c_str());
-        std::exit(2);
-    }
-    targets.emplace_back(name, std::move(*assembled.program));
     return targets;
 }
 

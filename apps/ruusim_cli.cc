@@ -1,26 +1,10 @@
 /**
  * @file
- * ruusim — command-line driver for the library.
- *
- *   ruusim run <prog.s|lllNN> [--core K] [--entries N] [--buses N]
- *          [--banks N] [--load-regs N] [--counter-bits N]
- *          [--bypass M] [--predictor P] [--ibuffers] [--stats]
- *   ruusim sweep <prog.s|lllNN|suite> [--core K] [--sizes a,b,c]
- *          [--no-prune] [--json]
- *   ruusim analyze <prog.s|lllNN|suite> [--json]
- *   ruusim verify <prog.s|lllNN|suite> [--core K] [--sweep]
- *          [--points N]
- *   ruusim storm <prog.s|lllNN|suite> [--core K] [--points N]
- *   ruusim disasm <prog.s>
- *   ruusim lint <prog.s|lllNN|suite> [--Werror]
- *   ruusim trace <prog.s|lllNN> <out.trace>
- *   ruusim trace <in.trace>
- *   ruusim serve --socket PATH [--cache DIR] [--journal FILE] [...]
- *   ruusim submit --socket PATH <prog.s|lllNN|suite> [options]
- *   ruusim list
- *
- * Workloads are either a textual-assembly file or a built-in Livermore
- * kernel name (lll01..lll14); "suite" means all fourteen.
+ * ruusim — the library's command-line front end; usage() lists the
+ * subcommands and options. Workloads are either a textual-assembly
+ * file or a built-in Livermore kernel name (lll01..lll14); "suite"
+ * means all fourteen. Jobs resolve and run through sim/job.hh, the
+ * same code ruusimd uses, so `run` and `submit` print the same bytes.
  *
  * Malformed input — unknown flags and names, unreadable files, broken
  * trace files, truncated JSON configs, programs that fault organically —
@@ -58,6 +42,7 @@
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "sim/experiment.hh"
+#include "sim/job.hh"
 #include "sim/json.hh"
 #include "stats/table.hh"
 #include "trace/trace_io.hh"
@@ -127,7 +112,6 @@ usage()
         "  --trials N        inject: campaign trial count (default "
         "1000)\n"
         "  --seed S          inject: campaign seed (default 1)\n"
-        "  --journal FILE    inject: JSONL journal to stream/resume\n"
         "  --timeout-ms N    inject: per-trial wall-clock watchdog "
         "(default 10000)\n"
         "  --stop-after K    inject: stop after K new trials (exit 3)\n"
@@ -196,32 +180,14 @@ usage()
         std::exit(2);                                                 \
     } while (0)
 
-std::string
-readFile(const std::string &path)
+/** @p result's value; exit 2 with its diagnostic when it is an error. */
+template <typename T>
+T
+orFail(Expected<T> result)
 {
-    Expected<std::string> text = readTextFile(path);
-    if (!text)
-        cliFail("%s", text.error().message().c_str());
-    return text.take();
-}
-
-/** Resolve a workload argument: kernel name or assembly file. */
-std::vector<Workload>
-resolveWorkloads(const std::string &name)
-{
-    if (name == "suite")
-        return livermoreWorkloads();
-    if (const Workload *kernel = findLivermoreWorkload(name))
-        return {*kernel};
-    // A program that fails to assemble, faults or never halts is bad
-    // input, not a simulator bug: the daemon's checked builder says so.
-    Expected<Workload> checked =
-        workloadFromSourceChecked(readFile(name), name);
-    if (!checked)
-        cliFail("%s", checked.error().message().c_str());
-    Workload workload = checked.take();
-    workload.name = name;
-    return {std::move(workload)};
+    if (!result)
+        cliFail("%s", result.error().message().c_str());
+    return result.take();
 }
 
 /** @p name looked up with @p lookup; exit 2 when it names no @p what. */
@@ -252,7 +218,7 @@ struct Cli
     std::vector<std::string> positional;
 
     // inject
-    std::vector<CoreKind> injectCores;
+    std::vector<std::string> cores; //!< --cores, each a known core
     std::uint64_t trials = 1000;
     std::uint64_t seed = 1;
     std::string journal;
@@ -310,7 +276,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--config") {
             std::string path = value();
             Expected<UarchConfig> parsed =
-                parseUarchConfig(readFile(path));
+                parseUarchConfig(orFail(readTextFile(path)));
             if (!parsed) {
                 cliFail("%s: %s", path.c_str(),
                         parsed.error().message().c_str());
@@ -343,9 +309,9 @@ parseArgs(int argc, char **argv)
             std::stringstream list(value());
             std::string item;
             while (std::getline(list, item, ','))
-                cli.injectCores.push_back(
-                    parseName(coreKindFromName, "core", item));
-            if (cli.injectCores.empty())
+                cli.cores.push_back(coreKindName(
+                    parseName(coreKindFromName, "core", item)));
+            if (cli.cores.empty())
                 usage();
         } else if (arg == "--trials") {
             cli.trials = std::strtoull(value().c_str(), nullptr, 10);
@@ -429,42 +395,101 @@ parseArgs(int argc, char **argv)
     return cli;
 }
 
-int
-cmdRun(const Cli &cli)
+/** @p cli's configuration as a spec carries it: empty when default. */
+std::string
+specConfig(const Cli &cli)
+{
+    std::string json = configToJson(cli.config);
+    return json == configToJson(UarchConfig::cray1()) ? "" : json;
+}
+
+/**
+ * The jobs the workload argument names — the first of exactly
+ * @p positionals — by sim/job.hh's suite, kernel and source rule
+ * (program files are read here), each on top of @p cli's core,
+ * configuration and instruction-buffer switch.
+ */
+std::vector<serve::JobSpec>
+cliJobs(const Cli &cli, std::size_t positionals = 1)
+{
+    if (cli.positional.size() != positionals)
+        usage();
+    serve::JobSpec base;
+    base.core = coreKindName(cli.core);
+    base.configJson = specConfig(cli);
+    base.ibuffers = cli.ibuffers;
+    std::vector<serve::JobSpec> jobs;
+    for (const std::string &name : expandSuite(cli.positional[0]))
+        jobs.push_back(orFail(jobFor(name, base, readTextFile)));
+    return jobs;
+}
+
+/** The workloads of cliJobs; exit 2 on any bad one. */
+std::vector<Workload>
+resolveWorkloads(const Cli &cli, std::size_t positionals = 1)
+{
+    std::vector<Workload> workloads;
+    for (const serve::JobSpec &job : cliJobs(cli, positionals))
+        workloads.push_back(*orFail(resolveWorkload(job)));
+    return workloads;
+}
+
+/**
+ * The campaign @p cli describes over its one workload argument, for
+ * `ruusim inject` and `submit --campaign` alike. Its cores are
+ * --cores, else --core; an inject campaign with neither runs on all
+ * six, run and storm campaigns on --core's default.
+ */
+serve::CampaignSpec
+cliCampaign(const Cli &cli, serve::CampaignKind kind)
 {
     if (cli.positional.size() != 1)
         usage();
-    auto workloads = resolveWorkloads(cli.positional[0]);
-    auto core = makeCore(cli.core, cli.config);
-    RunOptions options;
-    options.modelIBuffers = cli.ibuffers;
+    serve::CampaignSpec spec;
+    spec.kind = kind;
+    spec.workloads = expandSuite(cli.positional[0]);
+    spec.cores = cli.cores;
+    if (kind == serve::CampaignKind::Inject) {
+        spec.trials = cli.trials;
+        spec.seed = cli.seed;
+        if (spec.cores.empty() && !cli.coreSet)
+            for (CoreKind core : allCoreKinds())
+                spec.cores.push_back(coreKindName(core));
+    }
+    if (spec.cores.empty())
+        spec.cores = {coreKindName(cli.core)};
+    spec.configJson = specConfig(cli);
+    spec.ibuffers = cli.ibuffers;
+    spec.deadlineMs = cli.deadlineMs;
+    return spec;
+}
 
+int
+cmdRun(const Cli &cli)
+{
+    std::vector<serve::JobSpec> jobs = cliJobs(cli);
     std::uint64_t cycles = 0, instructions = 0;
-    for (const auto &workload : workloads) {
-        RunResult run = core->run(workload.trace(), options);
-        if (!matchesFunctional(run, workload.func))
-            ruu_fatal("'%s' committed the wrong state (simulator bug)",
-                      workload.name.c_str());
+    for (const serve::JobSpec &spec : jobs) {
+        ResolvedJob resolved = orFail(resolveJob(spec));
+        JobResult job = executeJob(resolved);
+        const RunResult &run = job.run;
         if (cli.json) {
-            std::printf("%s\n",
-                        runToJson(workload.name, core->name(), run,
-                                  core->stats())
-                            .c_str());
+            std::printf("%s\n", job.payload.c_str());
         } else {
             std::printf("%-8s %8llu instructions %9llu cycles  issue "
                         "rate %.3f\n",
-                        workload.name.c_str(),
+                        resolved.workload->name.c_str(),
                         static_cast<unsigned long long>(
                             run.instructions),
                         static_cast<unsigned long long>(run.cycles),
                         run.issueRate());
             if (cli.stats)
-                std::printf("%s", core->stats().dump().c_str());
+                std::printf("%s", job.core->stats().dump().c_str());
         }
         cycles += run.cycles;
         instructions += run.instructions;
     }
-    if (workloads.size() > 1 && !cli.json)
+    if (jobs.size() > 1 && !cli.json)
         std::printf("total    %8llu instructions %9llu cycles  issue "
                     "rate %.3f\n",
                     static_cast<unsigned long long>(instructions),
@@ -477,9 +502,7 @@ cmdRun(const Cli &cli)
 int
 cmdSweep(const Cli &cli)
 {
-    if (cli.positional.size() != 1)
-        usage();
-    auto workloads = resolveWorkloads(cli.positional[0]);
+    auto workloads = resolveWorkloads(cli);
     par::Pool pool(cli.jobs);
     AggregateResult baseline = runSuite(
         CoreKind::Simple, UarchConfig::cray1(), workloads, &pool);
@@ -548,9 +571,7 @@ cmdSweep(const Cli &cli)
 int
 cmdAnalyze(const Cli &cli)
 {
-    if (cli.positional.size() != 1)
-        usage();
-    auto workloads = resolveWorkloads(cli.positional[0]);
+    auto workloads = resolveWorkloads(cli);
 
     TextTable table({"Workload", "Records", "Bound", "DepBound",
                      "Decode", "Schedule", "FU", "Bus", "Commit",
@@ -645,9 +666,7 @@ cmdAnalyze(const Cli &cli)
 int
 cmdVerify(const Cli &cli)
 {
-    if (cli.positional.size() != 1)
-        usage();
-    auto workloads = resolveWorkloads(cli.positional[0]);
+    auto workloads = resolveWorkloads(cli);
 
     par::Pool pool(cli.jobs);
     oracle::VerifyOptions options;
@@ -732,7 +751,7 @@ cmdDisasm(const Cli &cli)
     if (cli.positional.size() != 1)
         usage();
     AsmResult assembled =
-        assemble(readFile(cli.positional[0]), cli.positional[0]);
+        assemble(orFail(readTextFile(cli.positional[0])), cli.positional[0]);
     if (!assembled.ok()) {
         // Malformed input, not a verification failure.
         for (const auto &error : assembled.errors)
@@ -751,29 +770,11 @@ cmdDisasm(const Cli &cli)
 int
 cmdLint(const Cli &cli)
 {
-    if (cli.positional.size() != 1)
-        usage();
-    const std::string &name = cli.positional[0];
-
     std::vector<std::pair<std::string, Program>> targets;
-    if (name == "suite") {
-        for (const Kernel &kernel : livermoreKernels())
-            targets.emplace_back(kernel.name, kernel.program);
-    } else {
-        for (const Kernel &kernel : livermoreKernels())
-            if (kernel.name == name)
-                targets.emplace_back(kernel.name, kernel.program);
-        if (targets.empty()) {
-            AsmResult assembled = assemble(readFile(name), name);
-            if (!assembled.ok()) {
-                // Malformed input, not a lint finding.
-                for (const auto &error : assembled.errors)
-                    std::fprintf(stderr, "%s: %s\n", name.c_str(),
-                                 error.toString().c_str());
-                return 2;
-            }
-            targets.emplace_back(name, std::move(*assembled.program));
-        }
+    for (const serve::JobSpec &job : cliJobs(cli)) {
+        // A program that fails to assemble is malformed input, not a
+        // lint finding.
+        targets.emplace_back(job.id, orFail(resolveProgram(job)));
     }
 
     unsigned errors = 0, warnings = 0;
@@ -802,11 +803,7 @@ int
 cmdTrace(const Cli &cli)
 {
     if (cli.positional.size() == 1) {
-        Expected<Trace> loaded =
-            loadTraceFileChecked(cli.positional[0]);
-        if (!loaded)
-            cliFail("%s", loaded.error().message().c_str());
-        const Trace &trace = loaded.value();
+        const Trace trace = orFail(loadTraceFileChecked(cli.positional[0]));
         std::size_t faults = 0;
         for (const auto &record : trace.records())
             if (record.fault != Fault::None)
@@ -816,9 +813,7 @@ cmdTrace(const Cli &cli)
                     cli.positional[0].c_str(), trace.size(), faults);
         return 0;
     }
-    if (cli.positional.size() != 2)
-        usage();
-    auto workloads = resolveWorkloads(cli.positional[0]);
+    auto workloads = resolveWorkloads(cli, 2);
     if (!saveTraceFile(workloads[0].trace(), cli.positional[1]))
         cliFail("cannot write '%s'", cli.positional[1].c_str());
     std::printf("wrote %zu records to %s\n", workloads[0].trace().size(),
@@ -839,9 +834,7 @@ cmdTrace(const Cli &cli)
 int
 cmdStorm(const Cli &cli)
 {
-    if (cli.positional.size() != 1)
-        usage();
-    auto workloads = resolveWorkloads(cli.positional[0]);
+    auto workloads = resolveWorkloads(cli);
 
     std::vector<CoreKind> kinds = allCoreKinds();
     if (cli.coreSet)
@@ -952,35 +945,21 @@ printTrial(const inject::TrialResult &trial)
 int
 cmdInject(const Cli &cli)
 {
-    if (cli.positional.size() != 1)
-        usage();
-    inject::CampaignOptions options;
-    options.workloads = resolveWorkloads(cli.positional[0]);
-    if (!cli.injectCores.empty())
-        options.cores = cli.injectCores;
-    else if (cli.coreSet)
-        options.cores = {cli.core};
-    else
-        options.cores = allCoreKinds();
-    options.trials = cli.trials;
-    options.seed = cli.seed;
+    inject::CampaignOptions options = orFail(injectCampaignOptions(
+        cliCampaign(cli, serve::CampaignKind::Inject), readTextFile));
     options.timeoutMs = cli.timeoutMs;
     options.journalPath = cli.journal;
     options.stopAfter = cli.stopAfter;
-    options.config = cli.config;
-    options.modelIBuffers = cli.ibuffers;
     options.jobs = cli.jobs;
 
     if (cli.replaySet) {
-        Expected<inject::TrialResult> trial =
-            inject::replayTrial(options, cli.replayTrial);
-        if (!trial)
-            cliFail("%s", trial.error().message().c_str());
+        inject::TrialResult trial =
+            orFail(inject::replayTrial(options, cli.replayTrial));
         if (cli.json)
-            std::printf("%s\n", inject::trialToLine(*trial).c_str());
+            std::printf("%s\n", inject::trialToLine(trial).c_str());
         else
-            printTrial(*trial);
-        return trial->outcome == inject::Outcome::Unclassified ? 1 : 0;
+            printTrial(trial);
+        return trial.outcome == inject::Outcome::Unclassified ? 1 : 0;
     }
 
     if (!cli.json) {
@@ -998,10 +977,7 @@ cmdInject(const Cli &cli)
         };
     }
 
-    Expected<inject::CampaignSummary> summary =
-        inject::runCampaign(options);
-    if (!summary)
-        cliFail("%s", summary.error().message().c_str());
+    inject::CampaignSummary summary = orFail(inject::runCampaign(options));
 
     const std::vector<inject::Outcome> kOutcomes = {
         inject::Outcome::Masked,
@@ -1016,63 +992,47 @@ cmdInject(const Cli &cli)
     // Per-core outcome tallies (the AVF-style vulnerability view).
     std::map<std::string, std::map<inject::Outcome, std::uint64_t>>
         byCore;
-    for (const auto &trial : summary->trials)
+    for (const auto &trial : summary.trials)
         ++byCore[trial.point.core][trial.outcome];
-    auto total = inject::tallyOutcomes(summary->trials);
+    auto total = inject::tallyOutcomes(summary.trials);
     std::uint64_t unclassified = total[inject::Outcome::Unclassified];
 
+    // The summary's leading fields; --json adds the tallies.
+    std::ostringstream os;
+    os << "{\"seed\": " << options.seed
+       << ", \"trials\": " << options.trials
+       << ", \"completed\": " << summary.trials.size();
     if (cli.json) {
-        std::ostringstream os;
-        os << "{\"seed\": " << options.seed
-           << ", \"trials\": " << options.trials
-           << ", \"completed\": " << summary->trials.size()
-           << ", \"resumed\": " << summary->resumed
-           << ", \"executed\": " << summary->executed
-           << ", \"stopped_early\": "
-           << (summary->stoppedEarly ? "true" : "false")
-           << ", \"wall_seconds\": " << summary->wallSeconds
-           << ", \"trials_per_sec\": " << summary->trialsPerSecond()
-           << ", \"outcomes\": {";
-        bool first = true;
-        for (inject::Outcome o : kOutcomes) {
-            if (!first)
-                os << ", ";
-            first = false;
-            os << "\"" << inject::outcomeName(o)
-               << "\": " << total[o];
-        }
-        os << "}, \"by_core\": {";
-        first = true;
-        for (auto &[core, tally] : byCore) {
-            if (!first)
-                os << ", ";
-            first = false;
-            os << "\"" << core << "\": {";
-            bool inner = true;
-            for (inject::Outcome o : kOutcomes) {
-                if (!inner)
-                    os << ", ";
-                inner = false;
-                os << "\"" << inject::outcomeName(o)
-                   << "\": " << tally[o];
-            }
+        auto tallyJson = [&](std::map<inject::Outcome, std::uint64_t> &tally) {
+            os << "{";
+            for (inject::Outcome o : kOutcomes)
+                os << (o == kOutcomes[0] ? "\"" : ", \"")
+                   << inject::outcomeName(o) << "\": " << tally[o];
             os << "}";
+        };
+        os << ", \"resumed\": " << summary.resumed
+           << ", \"executed\": " << summary.executed
+           << ", \"stopped_early\": "
+           << (summary.stoppedEarly ? "true" : "false")
+           << ", \"wall_seconds\": " << summary.wallSeconds
+           << ", \"trials_per_sec\": " << summary.trialsPerSecond()
+           << ", \"outcomes\": ";
+        tallyJson(total);
+        os << ", \"by_core\": {";
+        for (auto &[core, tally] : byCore) {
+            os << (core == byCore.begin()->first ? "\"" : ", \"") << core
+               << "\": ";
+            tallyJson(tally);
         }
         os << "}}";
         std::printf("%s\n", os.str().c_str());
-        if (!cli.benchOut.empty()) {
-            std::ofstream out(cli.benchOut);
-            if (!out)
-                cliFail("cannot write '%s'", cli.benchOut.c_str());
-            out << os.str() << "\n";
-        }
     } else {
         TextTable table({"Core", "Trials", "Masked", "Det-inv",
                          "Det-orc", "Trapped", "Hung", "SDC",
                          "Unclass", "Unmasked%"});
         table.setTitle("fault-injection campaign: seed " +
                        std::to_string(options.seed) + ", " +
-                       std::to_string(summary->trials.size()) + "/" +
+                       std::to_string(summary.trials.size()) + "/" +
                        std::to_string(options.trials) + " trials");
         table.setAlign(0, Align::Left);
         for (auto &[core, tally] : byCore) {
@@ -1100,20 +1060,18 @@ cmdInject(const Cli &cli)
         std::printf("%s", table.render().c_str());
         std::printf("inject: %llu trials in %.1fs (%.1f trials/sec), "
                     "%llu resumed from journal\n",
-                    static_cast<unsigned long long>(summary->executed),
-                    summary->wallSeconds, summary->trialsPerSecond(),
-                    static_cast<unsigned long long>(summary->resumed));
-        if (!cli.benchOut.empty()) {
-            std::ofstream out(cli.benchOut);
-            if (!out)
-                cliFail("cannot write '%s'", cli.benchOut.c_str());
-            out << "{\"seed\": " << options.seed
-                << ", \"trials\": " << options.trials
-                << ", \"completed\": " << summary->trials.size()
-                << ", \"wall_seconds\": " << summary->wallSeconds
-                << ", \"trials_per_sec\": "
-                << summary->trialsPerSecond() << "}\n";
-        }
+                    static_cast<unsigned long long>(summary.executed),
+                    summary.wallSeconds, summary.trialsPerSecond(),
+                    static_cast<unsigned long long>(summary.resumed));
+        os << ", \"wall_seconds\": " << summary.wallSeconds
+           << ", \"trials_per_sec\": " << summary.trialsPerSecond()
+           << "}";
+    }
+    if (!cli.benchOut.empty()) {
+        std::ofstream out(cli.benchOut);
+        if (!out)
+            cliFail("cannot write '%s'", cli.benchOut.c_str());
+        out << os.str() << "\n";
     }
 
     if (unclassified) {
@@ -1122,7 +1080,7 @@ cmdInject(const Cli &cli)
                      static_cast<unsigned long long>(unclassified));
         return 1;
     }
-    if (summary->stoppedEarly)
+    if (summary.stoppedEarly)
         return 3;
     return 0;
 }
@@ -1158,71 +1116,89 @@ cmdServe(const Cli &cli)
                  cli.journal.empty() ? "" : ", journaled",
                  cli.queuePath.empty() ? "" : ", queued");
     serve::ServerStats stats;
-    Expected<int> result = serve::runServer(options, &stats);
-    if (!result)
-        cliFail("%s", result.error().message().c_str());
+    int status = orFail(serve::runServer(options, &stats));
     std::fprintf(stderr,
                  "ruusim: served %llu connection(s), %llu job(s) done, "
                  "%llu recovered\n",
                  static_cast<unsigned long long>(stats.connections),
                  static_cast<unsigned long long>(stats.jobsDone),
                  static_cast<unsigned long long>(stats.recovered));
-    return *result;
+    return status;
+}
+
+/** Send @p line and parse the one-line answer; exit 2 on trouble. */
+std::pair<std::string, flat::Object>
+ask(serve::ServeClient &client, const std::string &line)
+{
+    std::string reply = orFail(client.request(line));
+    auto object = flat::parseObject(reply);
+    if (!object)
+        cliFail("unparseable response: %s", reply.c_str());
+    return {reply, object.take()};
 }
 
 /**
- * Stream a campaign's unit results: payloads to stdout in unit order
- * (byte-identical to the equivalent cold run), failures to stderr.
- * Returns 0 when every unit is done, 1 otherwise (including an
- * unknown campaign or a daemon draining mid-watch).
+ * Send @p request and stream the result lines it answers with, in
+ * order: payloads to stdout (byte-identical to the equivalent cold
+ * run), failures to stderr. Returns 0 when every result is done, 1
+ * otherwise — including an error verdict in place of the summary
+ * (unknown campaign, daemon draining, a failed batch commit).
  */
 int
-watchCampaign(serve::ServeClient &client, const std::string &id)
+streamResults(serve::ServeClient &client, const serve::Request &request)
 {
-    serve::Request request;
-    request.op = serve::Op::Watch;
-    request.target = id;
-    if (auto sent = client.sendLine(serve::requestToLine(request));
-        !sent)
-        cliFail("%s", sent.error().message().c_str());
+    orFail(client.sendLine(serve::requestToLine(request)));
     bool anyFailed = false;
     while (true) {
-        auto line = client.recvLine();
-        if (!line)
-            cliFail("%s", line.error().message().c_str());
-        auto object = flat::parseObject(*line);
+        std::string line = orFail(client.recvLine());
+        auto object = flat::parseObject(line);
         if (!object)
-            cliFail("unparseable response: %s", line->c_str());
-        if (flat::optString(*object, "op") == "unit") {
-            auto status = flat::optString(*object, "status");
-            if (status == "done") {
-                auto payload = flat::optString(*object, "payload");
-                if (payload)
-                    std::printf("%s\n", payload->c_str());
-            } else {
-                auto unit = flat::optNumber(*object, "unit");
-                auto why = flat::optString(*object, "error");
-                std::fprintf(
-                    stderr, "ruusim: campaign '%s' unit %llu %s: %s\n",
-                    id.c_str(),
-                    static_cast<unsigned long long>(unit ? *unit : 0),
-                    status ? status->c_str() : "?",
-                    why ? why->c_str() : "");
-                anyFailed = true;
-            }
+            cliFail("unparseable response: %s", line.c_str());
+        auto op = flat::optString(*object, "op");
+        auto why = flat::optString(*object, "error");
+        if (op != "result" && op != "unit") {
+            if (flat::optNumber(*object, "ok") == 1u)
+                break; // the summary: every result line has arrived
+            std::fprintf(stderr, "ruusim: %s: %s\n",
+                         serve::opName(request.op),
+                         why ? why->c_str() : line.c_str());
+            return 1;
+        }
+        auto status = flat::optString(*object, "status");
+        if (status == "done") {
+            std::printf("%s\n",
+                        flat::optString(*object, "payload")
+                            .value_or("")
+                            .c_str());
             continue;
         }
-        // Terminal line: the watch summary, or an error verdict
-        // (unknown campaign, daemon draining).
-        if (flat::optNumber(*object, "ok") == 1u)
-            break;
-        if (auto why = flat::optString(*object, "error"))
-            std::fprintf(stderr, "ruusim: watch '%s': %s\n", id.c_str(),
-                         why->c_str());
+        std::string id = flat::optString(*object, "id").value_or("?");
+        std::string what =
+            op == "unit" ? "campaign '" + id + "' unit " +
+                               std::to_string(flat::optNumber(*object,
+                                                              "unit")
+                                                  .value_or(0))
+                         : "submit: job '" + id + "'";
+        std::fprintf(stderr, "ruusim: %s %s: %s\n", what.c_str(),
+                     status ? status->c_str() : "?",
+                     why ? why->c_str() : "");
         anyFailed = true;
-        break;
     }
     return anyFailed ? 1 : 0;
+}
+
+/** @p request's ack, or its refusal on stderr; true when acked. */
+bool
+acked(serve::ServeClient &client, const serve::Request &request,
+      const std::string &what)
+{
+    auto [reply, object] = ask(client, serve::requestToLine(request));
+    if (flat::optNumber(object, "ok") == 1u)
+        return true;
+    auto why = flat::optString(object, "error");
+    std::fprintf(stderr, "ruusim: %s refused: %s\n", what.c_str(),
+                 why ? why->c_str() : reply.c_str());
+    return false;
 }
 
 /**
@@ -1234,41 +1210,19 @@ watchCampaign(serve::ServeClient &client, const std::string &id)
 int
 submitCampaign(serve::ServeClient &client, const Cli &cli)
 {
-    if (cli.positional.size() != 1)
-        usage();
-    const std::string &name = cli.positional[0];
-
-    serve::CampaignSpec spec;
     auto kind = serve::campaignKindFromName(cli.campaignKind);
     if (!kind)
         cliFail("unknown campaign kind '%s' (run|storm|inject)",
                 cli.campaignKind.c_str());
-    spec.kind = kind.take();
-
-    if (name == "suite") {
-        for (const auto &kernel : livermoreKernels())
-            spec.workloads.push_back(kernel.name);
-    } else {
-        bool builtin = false;
-        for (const auto &kernel : livermoreKernels())
-            builtin = builtin || kernel.name == name;
-        if (!builtin) {
+    serve::Request request;
+    request.op = serve::Op::Campaign;
+    serve::CampaignSpec &spec = request.campaign;
+    spec = cliCampaign(cli, *kind);
+    for (const std::string &workload : spec.workloads)
+        if (!jobFor(workload, {}, nullptr))
             cliFail("campaigns run built-in kernels only; '%s' is not "
                     "one (see 'ruusim list')",
-                    name.c_str());
-        }
-        spec.workloads.push_back(name);
-    }
-
-    std::vector<CoreKind> kinds = cli.injectCores;
-    if (kinds.empty()) {
-        if (spec.kind == serve::CampaignKind::Inject)
-            kinds = allCoreKinds();
-        else
-            kinds = {cli.core};
-    }
-    for (CoreKind coreKind : kinds)
-        spec.cores.push_back(coreKindName(coreKind));
+                    workload.c_str());
 
     if (spec.kind == serve::CampaignKind::Storm) {
         spec.periods = cli.periods;
@@ -1282,38 +1236,17 @@ submitCampaign(serve::ServeClient &client, const Cli &cli)
     } else if (!cli.periods.empty()) {
         cliFail("--periods applies to storm campaigns only");
     }
-
-    if (spec.kind == serve::CampaignKind::Inject) {
-        spec.trials = cli.trials;
-        spec.seed = cli.seed;
-    }
-
-    std::string configJson = configToJson(cli.config);
-    if (configJson != configToJson(UarchConfig::cray1()))
-        spec.configJson = configJson;
-    spec.deadlineMs = cli.deadlineMs;
     spec.id = cli.campaignId.empty()
                   ? std::string(serve::campaignKindName(spec.kind)) +
-                        ":" + name
+                        ":" + cli.positional[0]
                   : cli.campaignId;
 
-    serve::Request request;
-    request.op = serve::Op::Campaign;
-    request.campaign = spec;
-    auto ack = client.request(serve::requestToLine(request));
-    if (!ack)
-        cliFail("%s", ack.error().message().c_str());
-    auto object = flat::parseObject(*ack);
-    if (!object)
-        cliFail("unparseable ack: %s", ack->c_str());
-    if (flat::optNumber(*object, "ok") != 1u) {
-        auto why = flat::optString(*object, "error");
-        std::fprintf(stderr, "ruusim: campaign '%s' refused: %s\n",
-                     spec.id.c_str(),
-                     why ? why->c_str() : ack->c_str());
+    if (!acked(client, request, "campaign '" + spec.id + "'"))
         return 1;
-    }
-    return watchCampaign(client, spec.id);
+    serve::Request watch;
+    watch.op = serve::Op::Watch;
+    watch.target = spec.id;
+    return streamResults(client, watch);
 }
 
 /**
@@ -1335,140 +1268,42 @@ cmdSubmit(const Cli &cli)
     retry.capUs = 500'000;
     retry.maxRetries = 10;
     retry.seed = cli.seed;
-    if (auto connected = client.connect(cli.socketPath, retry);
-        !connected)
-        cliFail("%s", connected.error().message().c_str());
+    orFail(client.connect(cli.socketPath, retry));
 
-    auto oneShot = [&](const char *op) -> int {
-        auto response = client.request(std::string("{\"op\": \"") +
-                                       op + "\"}");
-        if (!response)
-            cliFail("%s", response.error().message().c_str());
-        std::printf("%s\n", response->c_str());
-        auto object = flat::parseObject(*response);
-        return object && flat::optNumber(*object, "ok") == 1u ? 0 : 1;
-    };
-    if (cli.pingOnly)
-        return oneShot("ping");
-    if (cli.statusOnly)
-        return oneShot("status");
-    if (cli.stopDaemon)
-        return oneShot("shutdown");
-
-    if (!cli.cancelId.empty()) {
-        serve::Request request;
-        request.op = serve::Op::Cancel;
-        request.target = cli.cancelId;
-        auto response = client.request(serve::requestToLine(request));
-        if (!response)
-            cliFail("%s", response.error().message().c_str());
-        std::printf("%s\n", response->c_str());
-        auto object = flat::parseObject(*response);
-        return object && flat::optNumber(*object, "ok") == 1u ? 0 : 1;
+    serve::Request request;
+    request.target = cli.watchId.empty() ? cli.cancelId : cli.watchId;
+    if (cli.pingOnly || cli.statusOnly || cli.stopDaemon ||
+        !cli.cancelId.empty()) {
+        // One request, one printed answer.
+        request.op = cli.pingOnly     ? serve::Op::Ping
+                     : cli.statusOnly ? serve::Op::Status
+                     : cli.stopDaemon ? serve::Op::Shutdown
+                                      : serve::Op::Cancel;
+        auto [reply, object] = ask(client, serve::requestToLine(request));
+        std::printf("%s\n", reply.c_str());
+        return flat::optNumber(object, "ok") == 1u ? 0 : 1;
     }
-    if (!cli.watchId.empty())
-        return watchCampaign(client, cli.watchId);
+    if (!cli.watchId.empty()) {
+        request.op = serve::Op::Watch;
+        return streamResults(client, request);
+    }
     if (!cli.campaignKind.empty())
         return submitCampaign(client, cli);
 
-    if (cli.positional.size() != 1)
-        usage();
-    const std::string &name = cli.positional[0];
-
-    // Build the batch client-side: kernel names travel by name,
-    // assembly files travel as source text (the daemon reads no
-    // files on a client's behalf).
-    std::vector<serve::JobSpec> jobs;
-    auto isKernel = [](const std::string &candidate) {
-        for (const auto &kernel : livermoreKernels())
-            if (kernel.name == candidate)
-                return true;
-        return false;
-    };
-    if (name == "suite") {
-        for (const auto &kernel : livermoreKernels()) {
-            serve::JobSpec job;
-            job.id = kernel.name;
-            job.workload = kernel.name;
-            jobs.push_back(std::move(job));
-        }
-    } else if (isKernel(name)) {
-        serve::JobSpec job;
-        job.id = name;
-        job.workload = name;
-        jobs.push_back(std::move(job));
-    } else {
-        serve::JobSpec job;
-        job.id = name;
-        job.program = readFile(name);
-        job.name = name;
-        jobs.push_back(std::move(job));
-    }
-    std::string configJson = configToJson(cli.config);
-    bool defaultConfig =
-        configJson == configToJson(UarchConfig::cray1());
-    for (serve::JobSpec &job : jobs) {
-        job.core = coreKindName(cli.core);
-        if (!defaultConfig)
-            job.configJson = configJson;
+    // Kernel names travel by name, assembly files as source text (the
+    // daemon reads no files on a client's behalf).
+    bool anyFailed = false;
+    for (serve::JobSpec &job : cliJobs(cli)) {
         job.period = cli.period;
         job.deadlineMs = cli.deadlineMs;
-    }
-
-    bool anyFailed = false;
-    for (const serve::JobSpec &job : jobs) {
-        serve::Request request;
-        request.op = serve::Op::Submit;
-        request.job = job;
-        auto ack = client.request(serve::requestToLine(request));
-        if (!ack)
-            cliFail("%s", ack.error().message().c_str());
-        auto object = flat::parseObject(*ack);
-        if (!object)
-            cliFail("unparseable ack: %s", ack->c_str());
-        if (flat::optNumber(*object, "ok") != 1u) {
-            auto why = flat::optString(*object, "error");
-            std::fprintf(stderr,
-                         "ruusim: submit: job '%s' refused: %s\n",
-                         job.id.c_str(),
-                         why ? why->c_str() : ack->c_str());
+        serve::Request submit;
+        submit.op = serve::Op::Submit;
+        submit.job = job;
+        if (!acked(client, submit, "submit: job '" + job.id + "'"))
             anyFailed = true;
-        }
     }
-
-    if (auto sent = client.sendLine("{\"op\": \"run\"}"); !sent)
-        cliFail("%s", sent.error().message().c_str());
-    while (true) {
-        auto line = client.recvLine();
-        if (!line)
-            cliFail("%s", line.error().message().c_str());
-        auto object = flat::parseObject(*line);
-        if (!object)
-            cliFail("unparseable response: %s", line->c_str());
-        auto op = flat::optString(*object, "op");
-        if (op == "run")
-            break; // batch summary: every result line has arrived
-        if (op != "result") {
-            auto why = flat::optString(*object, "error");
-            cliFail("server error: %s",
-                    why ? why->c_str() : line->c_str());
-        }
-        auto id = flat::optString(*object, "id");
-        auto status = flat::optString(*object, "status");
-        if (status == "done") {
-            auto payload = flat::optString(*object, "payload");
-            if (payload)
-                std::printf("%s\n", payload->c_str());
-        } else {
-            auto why = flat::optString(*object, "error");
-            std::fprintf(stderr, "ruusim: submit: job '%s' %s: %s\n",
-                         id ? id->c_str() : "?",
-                         status ? status->c_str() : "?",
-                         why ? why->c_str() : "");
-            anyFailed = true;
-        }
-    }
-    return anyFailed ? 1 : 0;
+    request.op = serve::Op::Run;
+    return streamResults(client, request) || anyFailed ? 1 : 0;
 }
 
 int

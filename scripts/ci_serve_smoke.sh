@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Simulation-service smoke for CI: a ruusimd daemon must serve the
-# whole kernel suite byte-identically to cold `ruusim run` output,
+# whole kernel suite byte-identically to cold `ruusim run` output (on
+# every core, with and without --ibuffers, and an inject campaign
+# byte-identically to `ruusim inject --replay-trial`),
 # serve a second pass almost entirely from the content-addressed cache,
 # recover from a SIGKILL mid-batch to byte-identical results, shed
 # overload with an explicit verdict, and survive hostile bytes and
@@ -135,6 +137,36 @@ check_storm_line lll03 256 3
 check_storm_line "$(dirname "$0")/../examples/programs/fib.s" 4096 6
 if ! grep -q '"pruned": true' "$WORKDIR/periodic.json"; then
     echo "fib.s at K=4096 should be pruned" >&2
+    exit 1
+fi
+
+echo "== submit prints 'ruusim run --json' on every core, ±--ibuffers"
+for core in simple tomasulo rstu ruu spec_ruu history; do
+    for ibuffers in "" --ibuffers; do
+        submit lll03 --core "$core" $ibuffers > "$WORKDIR/served.json"
+        "$RUUSIM" run lll03 --core "$core" $ibuffers --json \
+            > "$WORKDIR/ran.json"
+        if ! cmp -s "$WORKDIR/served.json" "$WORKDIR/ran.json"; then
+            echo "submit lll03 --core $core $ibuffers differs from" \
+                 "'ruusim run --json'" >&2
+            diff "$WORKDIR/served.json" "$WORKDIR/ran.json" >&2 || true
+            exit 1
+        fi
+    done
+done
+
+echo "== an inject campaign streams 'ruusim inject --replay-trial' lines"
+campaign="lll03 --core ruu --trials 6 --seed 5"
+submit --campaign inject $campaign > "$WORKDIR/campaign.json"
+: > "$WORKDIR/replayed.json"
+for trial in 0 1 2 3 4 5; do
+    "$RUUSIM" inject $campaign --replay-trial "$trial" --json \
+        >> "$WORKDIR/replayed.json"
+done
+if ! cmp -s "$WORKDIR/campaign.json" "$WORKDIR/replayed.json"; then
+    echo "inject campaign units differ from 'ruusim inject" \
+         "--replay-trial'" >&2
+    diff "$WORKDIR/campaign.json" "$WORKDIR/replayed.json" >&2 || true
     exit 1
 fi
 stop_daemon

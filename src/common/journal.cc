@@ -158,8 +158,10 @@ Expected<bool>
 open(io::AppendFile &file, const std::string &path, const Header &header,
      const RecordParser &parse, const std::string &mismatch)
 {
+    // An empty file is a crash between create and the header write:
+    // it holds no durable record, so it is created afresh.
     struct stat st;
-    if (::stat(path.c_str(), &st) != 0) {
+    if (::stat(path.c_str(), &st) != 0 || st.st_size == 0) {
         if (auto created = file.create(path); !created)
             return created.error();
         return file.appendLine(header.line());

@@ -106,8 +106,9 @@ Expected<bool> checkHeader(const flat::Object &stored,
                            const std::string &mismatch);
 
 /**
- * Create-or-resume @p path into @p file. An absent file is created
- * with @p header's line. An existing one is replayed through @p parse,
+ * Create-or-resume @p path into @p file. An absent or empty file (a
+ * crash between create and the header write) is created with
+ * @p header's line. Any other one is replayed through @p parse,
  * its header checked against @p header (see checkHeader), a torn tail
  * truncated (io::truncateFile), and the file reopened for appending —
  * after a '\n' when the valid prefix lacks one. The shimmed I/O runs

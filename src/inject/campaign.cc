@@ -33,15 +33,6 @@ toHex(const std::vector<std::uint8_t> &bytes)
     return out;
 }
 
-/** Keep only the last @p keep characters of @p text. */
-std::string
-tail(const std::string &text, std::size_t keep)
-{
-    if (text.size() <= keep)
-        return text;
-    return "..." + text.substr(text.size() - keep);
-}
-
 /** The campaign identity string pinned in the journal header. */
 std::string
 configSignature(const CampaignOptions &options)

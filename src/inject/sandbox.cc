@@ -104,6 +104,14 @@ SandboxChannel::send(const std::string &tag,
     writeAll(_fd, tag + " " + payload + "\n");
 }
 
+std::string
+tail(const std::string &text, std::size_t keep)
+{
+    if (text.size() <= keep)
+        return text;
+    return "..." + text.substr(text.size() - keep);
+}
+
 SandboxOutcome
 runSandboxed(const std::function<void(SandboxChannel &)> &body,
              unsigned timeoutMs)

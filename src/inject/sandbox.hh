@@ -63,6 +63,9 @@ struct SandboxOutcome
     std::string spawnError; //!< diagnostic when SpawnFailed
 };
 
+/** The last @p keep characters of @p text (child output), "..." first. */
+std::string tail(const std::string &text, std::size_t keep);
+
 /**
  * Run @p body in a forked child with a @p timeoutMs wall-clock
  * deadline. The body must do all of its reporting through the channel;

@@ -70,6 +70,15 @@ workloadAt(std::size_t slot)
 
 } // namespace
 
+std::vector<std::string>
+livermoreKernelNames()
+{
+    std::vector<std::string> names;
+    for (const Entry &entry : kEntries)
+        names.emplace_back(entry.name);
+    return names;
+}
+
 const std::vector<Kernel> &
 livermoreKernels()
 {
@@ -84,6 +93,15 @@ livermoreWorkloads()
     for (std::size_t slot = 0; slot < kNumKernels; ++slot)
         workloadAt(slot);
     return store().workloads;
+}
+
+const Kernel *
+findLivermoreKernel(const std::string &name)
+{
+    for (std::size_t slot = 0; slot < kNumKernels; ++slot)
+        if (kEntries[slot].name == name)
+            return &kernelAt(slot);
+    return nullptr;
 }
 
 const Workload *

@@ -51,6 +51,9 @@ Kernel makeLll13(); //!< 2-D particle in cell
 Kernel makeLll14(); //!< 1-D particle in cell
 /** @} */
 
+/** The 14 kernel names ("lll01" .. "lll14") in suite order; builds none. */
+std::vector<std::string> livermoreKernelNames();
+
 /**
  * All 14 kernels. Each kernel is built at most once per process and
  * cached; all three lookups below are thread-safe.
@@ -62,6 +65,9 @@ const std::vector<Kernel> &livermoreKernels();
  * once and cached — the input of every paper-table bench.
  */
 const std::vector<Workload> &livermoreWorkloads();
+
+/** The built-in kernel named @p name, or nullptr; builds only it. */
+const Kernel *findLivermoreKernel(const std::string &name);
 
 /**
  * The workload of the built-in kernel named @p name ("lll01" ..

@@ -43,6 +43,8 @@ cacheKey(const CacheKeyInputs &inputs)
     h = fnv1a(std::to_string(inputs.configJson.size()), h);
     h = fnv1a(inputs.core, h);
     h = fnv1a(std::to_string(inputs.period), h);
+    if (inputs.ibuffers)
+        h = fnv1a("ibuffers", h);
     h = fnv1a(std::to_string(inputs.engineVersion), h);
     return h;
 }

@@ -48,6 +48,9 @@ struct CacheKeyInputs
     std::string configJson;        //!< configToJson of the exact config
     std::string core;
     std::uint64_t period = 0;
+    /** The instruction buffers were modelled; folded in only when set,
+     * so every key of a run without them is unchanged. */
+    bool ibuffers = false;
 
     /**
      * engine::kStreamFormatVersion at build time. Deliberately NOT

@@ -46,14 +46,12 @@ ServeClient::connect(const std::string &socketPath,
 }
 
 Expected<bool>
-ServeClient::sendLine(const std::string &line)
+sendLine(int fd, const std::string &line)
 {
-    if (_fd < 0)
-        return Error("not connected");
     std::string framed = line + "\n";
     std::size_t done = 0;
     while (done < framed.size()) {
-        ssize_t n = ::send(_fd, framed.data() + done,
+        ssize_t n = ::send(fd, framed.data() + done,
                            framed.size() - done, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR)
@@ -63,6 +61,14 @@ ServeClient::sendLine(const std::string &line)
         done += static_cast<std::size_t>(n);
     }
     return true;
+}
+
+Expected<bool>
+ServeClient::sendLine(const std::string &line)
+{
+    if (_fd < 0)
+        return Error("not connected");
+    return serve::sendLine(_fd, line);
 }
 
 Expected<std::string>

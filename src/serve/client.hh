@@ -17,6 +17,12 @@
 namespace ruu::serve
 {
 
+/**
+ * Send @p line plus a newline on socket @p fd, all of it (retrying
+ * short writes and EINTR; never SIGPIPE) — both ends of the protocol.
+ */
+Expected<bool> sendLine(int fd, const std::string &line);
+
 class ServeClient
 {
   public:

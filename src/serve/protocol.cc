@@ -60,6 +60,45 @@ jobStatusName(JobStatus status)
     return "failed";
 }
 
+Expected<bool>
+readCampaignField(CampaignSpec &spec, const std::string &key,
+                  const flat::Value &value)
+{
+    if (key == "kind" && value.isString) {
+        auto kind = campaignKindFromName(value.text);
+        if (!kind)
+            return kind.error();
+        spec.kind = *kind;
+    } else if (key == "periods" && value.isString) {
+        auto periods = splitNumbers(value.text);
+        if (!periods)
+            return Error(periods.error()).context("\"periods\"");
+        spec.periods = *periods;
+    } else if (value.isString) {
+        if (key == "id")
+            spec.id = value.text;
+        else if (key == "workloads")
+            spec.workloads = splitCommas(value.text);
+        else if (key == "cores")
+            spec.cores = splitCommas(value.text);
+        else if (key == "config")
+            spec.configJson = value.text;
+        else
+            return false;
+    } else if (key == "trials") {
+        spec.trials = value.number;
+    } else if (key == "seed") {
+        spec.seed = value.number;
+    } else if (key == "ibuffers") {
+        spec.ibuffers = value.number != 0;
+    } else if (key == "deadline_ms") {
+        spec.deadlineMs = value.number;
+    } else {
+        return false;
+    }
+    return true;
+}
+
 Expected<Request>
 parseRequest(const std::string &line)
 {
@@ -106,44 +145,19 @@ parseRequest(const std::string &line)
 
     if (request.op == Op::Campaign) {
         CampaignSpec &spec = request.campaign;
-        bool sawKind = false;
         for (const auto &[key, value] : *object) {
             if (key == "op")
                 continue;
-            if (key == "id" && value.isString) {
-                spec.id = value.text;
-            } else if (key == "kind" && value.isString) {
-                auto kind = campaignKindFromName(value.text);
-                if (!kind)
-                    return Error(kind.error()).context("request");
-                spec.kind = *kind;
-                sawKind = true;
-            } else if (key == "workloads" && value.isString) {
-                spec.workloads = splitCommas(value.text);
-            } else if (key == "cores" && value.isString) {
-                spec.cores = splitCommas(value.text);
-            } else if (key == "periods" && value.isString) {
-                auto periods = splitNumbers(value.text);
-                if (!periods)
-                    return Error(periods.error())
-                        .context("request: \"periods\"");
-                spec.periods = *periods;
-            } else if (key == "trials" && !value.isString) {
-                spec.trials = value.number;
-            } else if (key == "seed" && !value.isString) {
-                spec.seed = value.number;
-            } else if (key == "config" && value.isString) {
-                spec.configJson = value.text;
-            } else if (key == "deadline_ms" && !value.isString) {
-                spec.deadlineMs = value.number;
-            } else {
+            auto known = readCampaignField(spec, key, value);
+            if (!known)
+                return Error(known.error()).context("request");
+            if (!*known)
                 return Error("request: unknown or ill-typed key '" +
                              key + "'");
-            }
         }
         if (spec.id.empty())
             return Error("request: campaign needs an \"id\"");
-        if (!sawKind)
+        if (!object->count("kind"))
             return Error("request: campaign needs a \"kind\"");
         if (spec.workloads.empty())
             return Error("request: campaign needs \"workloads\"");
@@ -189,6 +203,8 @@ parseRequest(const std::string &line)
             job.configJson = value.text;
         } else if (key == "period" && !value.isString) {
             job.period = value.number;
+        } else if (key == "ibuffers" && !value.isString) {
+            job.ibuffers = value.number != 0;
         } else if (key == "deadline_ms" && !value.isString) {
             job.deadlineMs = value.number;
         } else {
@@ -227,6 +243,8 @@ requestToLine(const Request &request)
                << "\"";
         if (job.period)
             os << ", \"period\": " << job.period;
+        if (job.ibuffers)
+            os << ", \"ibuffers\": 1";
         if (job.deadlineMs)
             os << ", \"deadline_ms\": " << job.deadlineMs;
     } else if (request.op == Op::Campaign) {
@@ -247,6 +265,8 @@ requestToLine(const Request &request)
         if (!spec.configJson.empty())
             os << ", \"config\": \"" << flat::escape(spec.configJson)
                << "\"";
+        if (spec.ibuffers)
+            os << ", \"ibuffers\": 1";
         if (spec.deadlineMs)
             os << ", \"deadline_ms\": " << spec.deadlineMs;
     } else if (request.op == Op::Watch || request.op == Op::Cancel) {

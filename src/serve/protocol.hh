@@ -25,8 +25,11 @@
  * no file access); optional "name" (display name for a program),
  * "core" (default "ruu"), "config" (embedded JSON object text as
  * emitted by configToJson), "period" (periodic external-interrupt
- * arrival period in cycles; 0 = plain run), "deadline_ms" (per-job
- * wall-clock watchdog override).
+ * arrival period in cycles; 0 = plain run), "ibuffers" (1: model the
+ * instruction buffers, as `ruusim run --ibuffers`; plain runs only;
+ * sent only when set), "deadline_ms" (per-job wall-clock watchdog
+ * override). A job resolves and runs through sim/job.hh, the same
+ * code behind `ruusim run`.
  *
  * Campaign fields (docs/SERVE.md, serve/queue.hh) name a server-side
  * durable sweep: "kind" is "run", "storm", or "inject"; "workloads"
@@ -34,8 +37,8 @@
  * names (campaigns carry no program text — they outlive the
  * submitting client, so everything must resolve server-side);
  * "periods" (storm only) is a comma list of arrival periods; "trials"
- * and "seed" (inject only) size the trial sweep; "config" and
- * "deadline_ms" are as for submit. The daemon acks with the unit
+ * and "seed" (inject only) size the trial sweep; "config",
+ * "ibuffers" and "deadline_ms" are as for submit. The daemon acks with the unit
  * count and executes in the background; "watch" streams one
  * {"op": "unit", ...} line per unit in unit order, then a
  * {"op": "watch", ...} summary; "cancel" voids units not yet
@@ -78,7 +81,10 @@ enum class Op
 /** The name of @p op as it appears on the wire. */
 const char *opName(Op op);
 
-/** One simulation job as submitted by a client. */
+/**
+ * One simulation job: what `ruusim run`/`submit` argv and a submit
+ * line both produce, resolved by sim/job.hh's resolveJob.
+ */
 struct JobSpec
 {
     std::string id;         //!< client-chosen identifier, echoed back
@@ -88,6 +94,7 @@ struct JobSpec
     std::string core = "ruu";
     std::string configJson; //!< empty = default (cray1) configuration
     std::uint64_t period = 0;     //!< interrupt period; 0 = plain run
+    bool ibuffers = false;        //!< model the instruction buffers
     std::uint64_t deadlineMs = 0; //!< 0 = server default
 };
 
@@ -120,8 +127,17 @@ struct CampaignSpec
     std::uint64_t trials = 0;           //!< inject trial count
     std::uint64_t seed = 1;             //!< inject campaign seed
     std::string configJson; //!< empty = default configuration
+    bool ibuffers = false;  //!< model the instruction buffers
     std::uint64_t deadlineMs = 0; //!< per-unit deadline; 0 = default
 };
+
+/**
+ * Store campaign field @p key of @p value in @p spec: the one reading
+ * of a campaign's fields, on the wire and in the queue journal. False
+ * for a key that names no field or a value of the wrong type.
+ */
+Expected<bool> readCampaignField(CampaignSpec &spec, const std::string &key,
+                                 const flat::Value &value);
 
 /** A parsed request line. */
 struct Request

@@ -11,8 +11,6 @@ namespace ruu::serve
 
 using flat::joinCommas;
 using flat::joinNumbers;
-using flat::splitCommas;
-using flat::splitNumbers;
 
 namespace
 {
@@ -85,19 +83,6 @@ expandUnits(const CampaignSpec &spec)
     return units;
 }
 
-const char *
-unitPhaseName(UnitPhase phase)
-{
-    switch (phase) {
-      case UnitPhase::Pending: return "pending";
-      case UnitPhase::Leased: return "leased";
-      case UnitPhase::Done: return "done";
-      case UnitPhase::Failed: return "failed";
-      case UnitPhase::Canceled: return "canceled";
-    }
-    return "pending";
-}
-
 std::string
 queueRecordToLine(const QueueRecord &record)
 {
@@ -117,7 +102,12 @@ queueRecordToLine(const QueueRecord &record)
            << ", \"seed\": " << spec.seed
            << ", \"config\": \"" << flat::escape(spec.configJson)
            << "\""
-           << ", \"deadline_ms\": " << spec.deadlineMs << "}";
+           << ", \"deadline_ms\": " << spec.deadlineMs;
+        // Optional so every record of a campaign without it, and its
+        // idempotent-resubmit identity, stays byte-identical.
+        if (spec.ibuffers)
+            os << ", \"ibuffers\": 1";
+        os << "}";
         break;
       }
       case QueueRecord::Type::Unit:
@@ -152,39 +142,22 @@ parseQueueRecordLine(const std::string &line)
     QueueRecord record;
     if (*rec == "campaign") {
         record.type = QueueRecord::Type::Campaign;
-        CampaignSpec &spec = record.campaign;
-        auto id = flat::getString(*object, "id");
-        auto ckind = flat::getString(*object, "ckind");
-        auto workloads = flat::getString(*object, "workloads");
-        auto cores = flat::getString(*object, "cores");
-        auto periods = flat::getString(*object, "periods");
-        auto trials = flat::getNumber(*object, "trials");
-        auto seed = flat::getNumber(*object, "seed");
-        auto config = flat::getString(*object, "config");
-        auto deadline = flat::getNumber(*object, "deadline_ms");
-        for (const Error *e :
-             {id.errorOrNull(), ckind.errorOrNull(),
-              workloads.errorOrNull(), cores.errorOrNull(),
-              periods.errorOrNull(), trials.errorOrNull(),
-              seed.errorOrNull(), config.errorOrNull(),
-              deadline.errorOrNull()})
-            if (e)
-                return Error(e->message());
-        auto kind = campaignKindFromName(*ckind);
-        if (!kind)
-            return kind.error();
-        auto periodList = splitNumbers(*periods);
-        if (!periodList)
-            return periodList.error();
-        spec.id = *id;
-        spec.kind = *kind;
-        spec.workloads = splitCommas(*workloads);
-        spec.cores = splitCommas(*cores);
-        spec.periods = *periodList;
-        spec.trials = *trials;
-        spec.seed = *seed;
-        spec.configJson = *config;
-        spec.deadlineMs = *deadline;
+        // Every field but ibuffers is always written.
+        for (const char *key : {"id", "ckind", "workloads", "cores",
+                                "periods", "trials", "seed", "config",
+                                "deadline_ms"})
+            if (!object->count(key))
+                return Error(std::string("missing key '") + key + "'");
+        for (const auto &[key, value] : *object) {
+            if (key == "rec")
+                continue;
+            auto known = readCampaignField(
+                record.campaign, key == "ckind" ? "kind" : key, value);
+            if (!known)
+                return known.error();
+            if (!*known)
+                return Error("unknown or ill-typed key '" + key + "'");
+        }
         return record;
     }
     if (*rec == "unit") {
@@ -237,6 +210,22 @@ CampaignQueue::findLocked(const std::string &id)
     return nullptr;
 }
 
+void
+CampaignQueue::addLocked(const CampaignSpec &spec,
+                         std::vector<WorkUnit> units)
+{
+    CampaignEntry campaign;
+    campaign.spec = spec;
+    for (WorkUnit &unit : units) {
+        UnitEntry entry;
+        entry.unit = std::move(unit);
+        campaign.units.push_back(std::move(entry));
+    }
+    ++_stats.campaigns;
+    _stats.unitsExpanded += campaign.units.size();
+    _campaigns.push_back(std::move(campaign));
+}
+
 UnitSnapshot
 CampaignQueue::snapshotLocked(const UnitEntry &entry) const
 {
@@ -279,16 +268,7 @@ CampaignQueue::open(const std::string &path, const std::string &cacheDir,
           case QueueRecord::Type::Campaign: {
             if (findLocked(record.campaign.id))
                 break; // replayed admission of a known id; keep first
-            CampaignEntry campaign;
-            campaign.spec = record.campaign;
-            for (WorkUnit &unit : expandUnits(campaign.spec)) {
-                UnitEntry entry;
-                entry.unit = std::move(unit);
-                campaign.units.push_back(std::move(entry));
-            }
-            ++_stats.campaigns;
-            _stats.unitsExpanded += campaign.units.size();
-            _campaigns.push_back(std::move(campaign));
+            addLocked(record.campaign, expandUnits(record.campaign));
             break;
           }
           case QueueRecord::Type::Unit: {
@@ -377,17 +357,8 @@ CampaignQueue::submit(const CampaignSpec &spec, std::uint64_t unitLimit)
             return Error(wrote.error()).context("queue journal");
     }
 
-    CampaignEntry campaign;
-    campaign.spec = spec;
-    for (WorkUnit &unit : units) {
-        UnitEntry entry;
-        entry.unit = std::move(unit);
-        campaign.units.push_back(std::move(entry));
-    }
-    std::uint64_t count = campaign.units.size();
-    ++_stats.campaigns;
-    _stats.unitsExpanded += count;
-    _campaigns.push_back(std::move(campaign));
+    std::uint64_t count = units.size();
+    addLocked(spec, std::move(units));
     _cv.notify_all();
     return count;
 }

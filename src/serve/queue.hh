@@ -90,8 +90,6 @@ enum class UnitPhase
     Canceled, //!< voided by cancel before dispatch
 };
 
-const char *unitPhaseName(UnitPhase phase);
-
 /**
  * The header kind of the queue journal (common/journal.hh). Its one
  * identity field, "cache", pins which cache certifies done units.
@@ -329,6 +327,8 @@ class CampaignQueue
     };
 
     CampaignEntry *findLocked(const std::string &id);
+    /** Append campaign @p spec with its expansion @p units. */
+    void addLocked(const CampaignSpec &spec, std::vector<WorkUnit> units);
     UnitSnapshot snapshotLocked(const UnitEntry &entry) const;
     void finishLocked(CampaignEntry &campaign, UnitEntry &entry,
                       JobStatus status, bool cached, std::uint64_t key,

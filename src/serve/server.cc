@@ -18,19 +18,15 @@
 #include "common/flat_json.hh"
 #include "common/io_faults.hh"
 #include "common/journal.hh"
-#include "common/logging.hh"
-#include "engine/engine.hh"
 #include "inject/campaign.hh"
 #include "inject/sandbox.hh"
 #include "kernels/lll.hh"
-#include "lint/dataflow_bound.hh"
 #include "par/ordered.hh"
 #include "serve/cache.hh"
+#include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/queue.hh"
-#include "sim/json.hh"
-#include "sim/machine.hh"
-#include "trap/storm.hh"
+#include "sim/job.hh"
 
 namespace ruu::serve
 {
@@ -51,32 +47,27 @@ onDrainSignal(int)
     gDrainSignal = 1;
 }
 
-/** Keep only the last @p keep characters of @p text. */
-std::string
-tail(const std::string &text, std::size_t keep)
-{
-    if (text.size() <= keep)
-        return text;
-    return "..." + text.substr(text.size() - keep);
-}
-
-/** Send all of @p line plus a newline; false once the peer is gone. */
+/** Send @p line; false once the peer is gone. */
 bool
 writeLine(int fd, const std::string &line)
 {
-    std::string framed = line + "\n";
-    std::size_t done = 0;
-    while (done < framed.size()) {
-        ssize_t n = ::send(fd, framed.data() + done,
-                           framed.size() - done, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        done += static_cast<std::size_t>(n);
-    }
-    return true;
+    return sendLine(fd, line).ok();
+}
+
+/** An answer line: {"ok": O, "op": P, "id": I<, @p rest>}. */
+std::string
+answer(bool ok, const char *op, const std::string &id,
+       const std::string &rest)
+{
+    return std::string("{\"ok\": ") + (ok ? "1" : "0") + ", \"op\": \"" +
+           op + "\", \"id\": \"" + flat::escape(id) + "\", " + rest + "}";
+}
+
+/** The `"error": E` tail of a refusal. */
+std::string
+errorField(const std::string &message)
+{
+    return "\"error\": \"" + flat::escape(message) + "\"";
 }
 
 /** What one job produced, staged for the ordered committer. */
@@ -103,8 +94,9 @@ class Server
     Expected<bool> recover();
     void handleConnection(int fd);
     void runBatch(int fd, bool &connAlive);
-    JobOutcome runJob(const JobSpec &job, std::size_t index);
-    JobOutcome runInjectUnit(const Lease &lease);
+    bool fromCache(JobOutcome &out);
+    JobOutcome runJob(const JobSpec &spec, std::size_t index);
+    void runInjectUnit(const Lease &lease, JobOutcome &out);
     void dispatchLoop();
     void runUnit(const Lease &lease);
     void runWatch(int fd, const std::string &id, bool &connAlive);
@@ -215,84 +207,41 @@ Server::statusLine()
     return os.str();
 }
 
+/** Serve @p out from the cache entry under out.key; false on a miss. */
+bool
+Server::fromCache(JobOutcome &out)
+{
+    std::lock_guard<std::mutex> lock(_cacheMutex);
+    auto hit = _cache.load(out.key);
+    if (!hit)
+        return false;
+    out.status = JobStatus::Done;
+    out.cached = true;
+    out.text = std::move(*hit);
+    return true;
+}
+
 JobOutcome
-Server::runJob(const JobSpec &job, std::size_t index)
+Server::runJob(const JobSpec &spec, std::size_t index)
 {
     JobOutcome out;
-
-    auto kind = coreKindFromName(job.core);
-    if (!kind) {
+    // A bad name, config or program is a rejection, never a dead server.
+    auto resolved = resolveJob(spec);
+    if (!resolved) {
         out.status = JobStatus::Rejected;
-        out.text = "unknown core '" + job.core + "'";
+        out.text = resolved.error().message();
         return out;
     }
-
-    UarchConfig config = UarchConfig::cray1();
-    if (!job.configJson.empty()) {
-        auto parsed = parseUarchConfig(job.configJson);
-        if (!parsed) {
-            out.status = JobStatus::Rejected;
-            out.text = "bad config: " + parsed.error().message();
-            return out;
-        }
-        config = parsed.take();
-    }
-
-    // Resolve the workload. Kernel names share the process-wide cached
-    // workloads; submitted programs are assembled and functionally
-    // simulated here, where a faulting or non-halting program is a
-    // per-job rejection, never a dead server.
-    const Workload *resolved = nullptr;
-    Workload built;
-    if (!job.workload.empty()) {
-        resolved = findLivermoreWorkload(job.workload);
-        if (!resolved) {
-            out.status = JobStatus::Rejected;
-            out.text = "unknown workload '" + job.workload + "'";
-            return out;
-        }
-    } else {
-        auto checked = workloadFromSourceChecked(
-            job.program, job.name.empty() ? job.id : job.name);
-        if (!checked) {
-            out.status = JobStatus::Rejected;
-            out.text = checked.error().message();
-            return out;
-        }
-        built = checked.take();
-        // The display name wins over a `.program` directive, as it
-        // does for `ruusim run <file>`, so payloads name the same file.
-        if (!job.name.empty())
-            built.name = job.name;
-        resolved = &built;
-    }
-    const Workload &workload = *resolved;
-
-    CacheKeyInputs inputs;
-    inputs.displayName = workload.name;
-    inputs.traceFingerprint = lint::boundTraceFingerprint(workload.trace());
-    inputs.traceLength = workload.trace().size();
-    inputs.configJson = configToJson(config);
-    inputs.core = coreKindName(*kind);
-    inputs.period = job.period;
-    inputs.engineVersion = engine::kStreamFormatVersion;
-    out.key = cacheKey(inputs);
-
-    {
-        std::lock_guard<std::mutex> lock(_cacheMutex);
-        if (auto hit = _cache.load(out.key)) {
-            out.status = JobStatus::Done;
-            out.cached = true;
-            out.text = std::move(*hit);
-            return out;
-        }
-    }
+    const ResolvedJob &job = *resolved;
+    out.key = cacheKey(job.key);
+    if (fromCache(out))
+        return out;
 
     // Fresh computation, crash-contained: the simulation runs in a
     // forked child under the job's deadline, so a wedged or crashing
     // run is this job's classification, not the daemon's death.
-    unsigned deadline = job.deadlineMs
-                            ? static_cast<unsigned>(job.deadlineMs)
+    unsigned deadline = spec.deadlineMs
+                            ? static_cast<unsigned>(spec.deadlineMs)
                             : _options.defaultDeadlineMs;
     BackoffPolicy policy = _options.spawnBackoff;
     policy.seed = par::jobSeed(_options.seed, index);
@@ -309,25 +258,7 @@ Server::runJob(const JobSpec &job, std::size_t index)
                 ::close(_listenFd);
             if (_connFd >= 0)
                 ::close(_connFd);
-            if (job.period == 0) {
-                auto core = makeCore(*kind, config);
-                RunResult run = core->run(workload.trace());
-                if (!matchesFunctional(run, workload.func))
-                    ruu_fatal("'%s' committed the wrong state "
-                              "(simulator bug)",
-                              workload.name.c_str());
-                channel.send("RES",
-                             runToJson(workload.name, core->name(),
-                                       run, core->stats()));
-            } else {
-                // One `ruusim storm` cell, pruned past the certified
-                // segment ceiling exactly as the CLI prunes.
-                channel.send("RES", trap::stormRowToJson(
-                                        trap::runStormCell(
-                                            workload, *kind, config,
-                                            {job.period},
-                                            /*prune=*/true)[0]));
-            }
+            channel.send("RES", executeJob(job).payload);
         },
         deadline, policy, &retries);
 
@@ -344,7 +275,7 @@ Server::runJob(const JobSpec &job, std::size_t index)
                 ? std::string("signal ") + strsignal(sandbox.signal)
                 : "exit code " + std::to_string(sandbox.exitCode);
         out.text = "job process died (" + how + "): " +
-                   tail(sandbox.stderrText, 1000);
+                   inject::tail(sandbox.stderrText, 1000);
         break;
       }
       case inject::SandboxOutcome::Status::TimedOut:
@@ -362,41 +293,17 @@ Server::runJob(const JobSpec &job, std::size_t index)
     return out;
 }
 
-JobOutcome
-Server::runInjectUnit(const Lease &lease)
+void
+Server::runInjectUnit(const Lease &lease, JobOutcome &out)
 {
-    JobOutcome out;
     const CampaignSpec &spec = lease.spec;
-    inject::CampaignOptions options;
-    for (const std::string &name : spec.cores) {
-        auto kind = coreKindFromName(name);
-        if (!kind) {
-            out.status = JobStatus::Rejected;
-            out.text = "unknown core '" + name + "'";
-            return out;
-        }
-        options.cores.push_back(*kind);
+    auto resolved = injectCampaignOptions(spec);
+    if (!resolved) {
+        out.status = JobStatus::Rejected;
+        out.text = resolved.error().message();
+        return;
     }
-    for (const std::string &name : spec.workloads) {
-        const Workload *found = findLivermoreWorkload(name);
-        if (!found) {
-            out.status = JobStatus::Rejected;
-            out.text = "unknown workload '" + name + "'";
-            return out;
-        }
-        options.workloads.push_back(*found);
-    }
-    if (!spec.configJson.empty()) {
-        auto parsed = parseUarchConfig(spec.configJson);
-        if (!parsed) {
-            out.status = JobStatus::Rejected;
-            out.text = "bad config: " + parsed.error().message();
-            return out;
-        }
-        options.config = parsed.take();
-    }
-    options.trials = spec.trials;
-    options.seed = spec.seed;
+    inject::CampaignOptions options = resolved.take();
     options.timeoutMs =
         spec.deadlineMs ? static_cast<unsigned>(spec.deadlineMs)
                         : _options.defaultDeadlineMs;
@@ -408,15 +315,9 @@ Server::runInjectUnit(const Lease &lease)
     // hook to drop the daemon's inherited socket fds; the hazard is
     // bounded by the per-trial deadline.)
     auto trial = inject::replayTrial(options, lease.unit.trial);
-    if (!trial) {
-        out.status = JobStatus::Failed;
-        out.text = trial.error().message();
-        return out;
-    }
-    out.status = JobStatus::Done;
-    out.freshResult = true;
-    out.text = inject::trialToLine(*trial);
-    return out;
+    out.status = trial ? JobStatus::Done : JobStatus::Failed;
+    out.freshResult = trial.ok();
+    out.text = trial ? inject::trialToLine(*trial) : trial.error().message();
 }
 
 void
@@ -425,40 +326,9 @@ Server::runUnit(const Lease &lease)
     const CampaignSpec &spec = lease.spec;
     JobOutcome out;
     if (spec.kind == CampaignKind::Inject) {
-        // An inject unit's cache identity is the campaign identity
-        // plus the trial index: (seed, index) fully determine the
-        // trial, exactly as --replay-trial pins.
-        std::string joinedCores, joinedWorkloads;
-        for (const std::string &name : spec.cores)
-            joinedCores += (joinedCores.empty() ? "" : ",") + name;
-        for (const std::string &name : spec.workloads)
-            joinedWorkloads +=
-                (joinedWorkloads.empty() ? "" : ",") + name;
-        CacheKeyInputs inputs;
-        inputs.displayName =
-            "inject:" + joinedCores + ":" + joinedWorkloads;
-        inputs.traceFingerprint = spec.seed;
-        inputs.traceLength = spec.trials;
-        inputs.configJson = spec.configJson;
-        inputs.core = "inject";
-        inputs.period = lease.unit.trial;
-        inputs.engineVersion = engine::kStreamFormatVersion;
-        out.key = cacheKey(inputs);
-        bool haveResult = false;
-        {
-            std::lock_guard<std::mutex> lock(_cacheMutex);
-            if (auto hit = _cache.load(out.key)) {
-                out.status = JobStatus::Done;
-                out.cached = true;
-                out.text = std::move(*hit);
-                haveResult = true;
-            }
-        }
-        if (!haveResult) {
-            std::uint64_t key = out.key;
-            out = runInjectUnit(lease);
-            out.key = key;
-        }
+        out.key = injectUnitKey(spec, lease.unit.trial);
+        if (!fromCache(out))
+            runInjectUnit(lease, out);
     } else {
         JobSpec job;
         job.id = spec.id + "#" + std::to_string(lease.unit.index);
@@ -466,6 +336,7 @@ Server::runUnit(const Lease &lease)
         job.core = lease.unit.core;
         job.configJson = spec.configJson;
         job.period = lease.unit.period;
+        job.ibuffers = spec.ibuffers;
         job.deadlineMs = spec.deadlineMs;
         out = runJob(job, lease.unit.index);
     }
@@ -601,12 +472,10 @@ Server::runWatch(int fd, const std::string &id, bool &connAlive)
     if (!connAlive)
         return;
     std::ostringstream os;
-    os << "{\"ok\": " << (failed + canceled == 0 ? 1 : 0)
-       << ", \"op\": \"watch\", \"id\": \"" << flat::escape(id) << "\""
-       << ", \"units\": " << view->unitsTotal << ", \"done\": " << done
-       << ", \"failed\": " << failed << ", \"canceled\": " << canceled
-       << "}";
-    connAlive = writeLine(fd, os.str());
+    os << "\"units\": " << view->unitsTotal << ", \"done\": " << done
+       << ", \"failed\": " << failed << ", \"canceled\": " << canceled;
+    connAlive = writeLine(
+        fd, answer(failed + canceled == 0, "watch", id, os.str()));
 }
 
 void
@@ -760,19 +629,16 @@ Server::handleConnection(int fd)
                     ++_stats.shed;
                 }
                 connAlive = writeLine(
-                    fd, "{\"ok\": 0, \"op\": \"submit\", \"id\": \"" +
-                            flat::escape(request->job.id) +
-                            "\", \"error\": \"overloaded\", "
-                            "\"queue_depth\": " +
-                            std::to_string(_queue.size()) + "}");
+                    fd, answer(false, "submit", request->job.id,
+                               errorField("overloaded") +
+                                   ", \"queue_depth\": " +
+                                   std::to_string(_queue.size())));
                 break;
             }
             _queue.push_back(request->job);
             connAlive = writeLine(
-                fd, "{\"ok\": 1, \"op\": \"submit\", \"id\": \"" +
-                        flat::escape(request->job.id) +
-                        "\", \"queued\": " +
-                        std::to_string(_queue.size()) + "}");
+                fd, answer(true, "submit", request->job.id,
+                           "\"queued\": " + std::to_string(_queue.size())));
             break;
           case Op::Run:
             runBatch(fd, connAlive);
@@ -781,21 +647,14 @@ Server::handleConnection(int fd)
             const std::string &id = request->campaign.id;
             auto units = _campaignQueue.submit(
                 request->campaign, _options.campaignUnitLimit);
-            if (!units) {
-                // "overloaded" is the explicit shed verdict; every
-                // other message is a refusal (duplicate id with a
-                // different spec, journal-append failure, ...).
-                connAlive = writeLine(
-                    fd, "{\"ok\": 0, \"op\": \"campaign\", \"id\": \"" +
-                            flat::escape(id) + "\", \"error\": \"" +
-                            flat::escape(units.error().message()) +
-                            "\"}");
-                break;
-            }
+            // "overloaded" is the explicit shed verdict; every other
+            // error is a refusal (duplicate id with a different spec,
+            // journal-append failure, ...).
             connAlive = writeLine(
-                fd, "{\"ok\": 1, \"op\": \"campaign\", \"id\": \"" +
-                        flat::escape(id) + "\", \"units\": " +
-                        std::to_string(*units) + "}");
+                fd, units ? answer(true, "campaign", id,
+                                   "\"units\": " + std::to_string(*units))
+                          : answer(false, "campaign", id,
+                                   errorField(units.error().message())));
             break;
           }
           case Op::Watch:
@@ -803,20 +662,13 @@ Server::handleConnection(int fd)
             break;
           case Op::Cancel: {
             auto canceled = _campaignQueue.cancel(request->target);
-            if (!canceled) {
-                connAlive = writeLine(
-                    fd, "{\"ok\": 0, \"op\": \"cancel\", \"id\": \"" +
-                            flat::escape(request->target) +
-                            "\", \"error\": \"" +
-                            flat::escape(canceled.error().message()) +
-                            "\"}");
-                break;
-            }
             connAlive = writeLine(
-                fd, "{\"ok\": 1, \"op\": \"cancel\", \"id\": \"" +
-                        flat::escape(request->target) +
-                        "\", \"canceled\": " +
-                        std::to_string(*canceled) + "}");
+                fd, canceled ? answer(true, "cancel", request->target,
+                                      "\"canceled\": " +
+                                          std::to_string(*canceled))
+                             : answer(false, "cancel", request->target,
+                                      errorField(
+                                          canceled.error().message())));
             break;
           }
           case Op::Shutdown:

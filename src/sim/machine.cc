@@ -84,9 +84,8 @@ makeWorkloadChecked(Program program, const FuncSimOptions &options)
     return workload;
 }
 
-Expected<Workload>
-workloadFromSourceChecked(const std::string &source,
-                          const std::string &name)
+Expected<Program>
+assembleChecked(const std::string &source, const std::string &name)
 {
     AsmResult assembled = assemble(source, name);
     if (!assembled.ok()) {
@@ -95,7 +94,17 @@ workloadFromSourceChecked(const std::string &source,
             all += "\n  " + error.toString();
         return Error("assembly of '" + name + "' failed:" + all);
     }
-    return makeWorkloadChecked(std::move(*assembled.program));
+    return std::move(*assembled.program);
+}
+
+Expected<Workload>
+workloadFromSourceChecked(const std::string &source,
+                          const std::string &name)
+{
+    auto program = assembleChecked(source, name);
+    if (!program)
+        return program.error();
+    return makeWorkloadChecked(program.take());
 }
 
 Workload

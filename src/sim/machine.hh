@@ -73,6 +73,10 @@ struct Workload
 Expected<Workload> makeWorkloadChecked(Program program,
                                        const FuncSimOptions &options = {});
 
+/** Assemble @p source; an error listing the assembler's diagnostics. */
+Expected<Program> assembleChecked(const std::string &source,
+                                  const std::string &name = "program");
+
 /** Assemble @p source and build a workload; an error on bad input. */
 Expected<Workload> workloadFromSourceChecked(
     const std::string &source, const std::string &name = "program");

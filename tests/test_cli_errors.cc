@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -50,6 +51,20 @@ runCli(const std::string &args)
     if (status == -1 || !WIFEXITED(status))
         return -1;
     return WEXITSTATUS(status);
+}
+
+/** Run `ruusim <args>` and return its stdout (stderr silenced). */
+std::string
+cliOutput(const std::string &args)
+{
+    const std::string out = "cli_output.txt";
+    std::string cmd =
+        std::string(kBinary) + " " + args + " >" + out + " 2>/dev/null";
+    if (std::system(cmd.c_str()) == -1)
+        return "";
+    std::ifstream in(out);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
 }
 
 void
@@ -349,6 +364,22 @@ TEST(CliErrors, ServeSubmitRoundTripObeysTheExitContract)
               0);
     // Canceling a finished campaign is honored (nothing left to cut).
     EXPECT_EQ(runCli("submit --socket cli_serve.sock --cancel pin"), 0);
+    // An inject campaign narrowed by --core runs every trial on that
+    // core, as `ruusim inject --core` does.
+    std::string trials = cliOutput(
+        "submit --socket cli_serve.sock --campaign inject lll01 "
+        "--core simple --trials 4 --seed 5 --id injcore");
+    std::size_t lines = 0;
+    for (std::size_t at = trials.find('\n'); at != std::string::npos;
+         at = trials.find('\n', at + 1))
+        ++lines;
+    EXPECT_EQ(lines, 4u) << trials;
+    std::size_t onSimple = 0;
+    for (std::size_t at = trials.find("\"core\": \"simple\"");
+         at != std::string::npos;
+         at = trials.find("\"core\": \"simple\"", at + 1))
+        ++onSimple;
+    EXPECT_EQ(onSimple, 4u) << trials;
     EXPECT_EQ(runCli("submit --socket cli_serve.sock --ping"), 0);
 
     EXPECT_EQ(runCli("submit --socket cli_serve.sock --stop"), 0);

@@ -5,7 +5,8 @@
  * discipline is tested in test_journal.cc), deterministic trial
  * sampling, and end-to-end campaigns through the crash-contained
  * sandbox — including journal resume, torn-tail resume under the I/O
- * fault shim, and bit-exact trial replay.
+ * fault shim, and bit-exact trial replay — and panic messages that
+ * name their file relative to the source root.
  */
 
 #include <gtest/gtest.h>
@@ -494,6 +495,24 @@ TEST(Backoff, RetryWrapperLeavesChildVerdictsAlone)
         &retries);
     EXPECT_EQ(crashed.status, inject::SandboxOutcome::Status::Crashed);
     EXPECT_EQ(retries, 0u);
+}
+
+TEST(Sandbox, PanicNamesItsFileRelativeToTheSourceRoot)
+{
+    // A panic the trial sandbox catches lands in the trial's detail,
+    // and so in the journal: it must not carry the checkout's path,
+    // or two checkouts of one commit journal different bytes.
+    auto crashed = inject::runSandboxed(
+        [](inject::SandboxChannel &) {
+            makeCore(static_cast<CoreKind>(99), UarchConfig::cray1());
+        },
+        10'000);
+    EXPECT_EQ(crashed.status, inject::SandboxOutcome::Status::Crashed);
+    EXPECT_NE(crashed.stderrText.find("at src/sim/machine.cc:"),
+              std::string::npos)
+        << crashed.stderrText;
+    EXPECT_EQ(crashed.stderrText.find(RUU_SOURCE_ROOT), std::string::npos)
+        << crashed.stderrText;
 }
 
 } // namespace

@@ -5,7 +5,7 @@
  * ruusimd recovery journal and the campaign-queue journal: header
  * bytes and record round trips, torn-tail forgiveness with its valid
  * extent, newline isolation on resume, interior damage and missing
- * headers refused, and the identity pin.
+ * headers refused, a 0-byte file started afresh, and the identity pin.
  */
 
 #include <gtest/gtest.h>
@@ -122,6 +122,9 @@ queueKind()
     admit.campaign.workloads = {"lll01", "lll02"};
     admit.campaign.cores = {"ruu"};
     admit.campaign.periods = {100, 250};
+    serve::QueueRecord buffered = admit;
+    buffered.campaign.id = "d";
+    buffered.campaign.ibuffers = true;
     unit.type = serve::QueueRecord::Type::Unit;
     unit.id = "c";
     unit.unit = 1;
@@ -138,7 +141,8 @@ queueKind()
             "cache",
             {serve::queueRecordToLine(admit),
              serve::queueRecordToLine(unit),
-             serve::queueRecordToLine(cancel)},
+             serve::queueRecordToLine(cancel),
+             serve::queueRecordToLine(buffered)},
             reparse<serve::QueueRecord, serve::parseQueueRecordLine,
                     serve::queueRecordToLine>};
 }
@@ -314,9 +318,12 @@ TEST_P(JournalKinds, MissingOrForeignHeaderIsRefused)
     EXPECT_FALSE(read(records).ok());
     write("hello\n");
     EXPECT_FALSE(read(records).ok());
+    EXPECT_FALSE(openAndAppend({}).ok());
+    EXPECT_EQ(contents(), "hello\n") << "a refused open touched the file";
+    write("\n");
+    EXPECT_FALSE(openAndAppend({}).ok());
     write("");
     EXPECT_FALSE(read(records).ok());
-    EXPECT_FALSE(openAndAppend({}).ok());
 
     // Another journal's kind, or a version this reader cannot speak.
     std::string foreign = kind.headerLine;
@@ -330,6 +337,20 @@ TEST_P(JournalKinds, MissingOrForeignHeaderIsRefused)
     ASSERT_FALSE(extent.ok());
     EXPECT_NE(extent.error().message().find("unsupported version 2"),
               std::string::npos);
+}
+
+TEST_P(JournalKinds, EmptyFileIsCreatedAfresh)
+{
+    // A crash between creating the file and writing its header leaves
+    // zero bytes: no durable record, so resume starts the journal over
+    // instead of refusing it forever.
+    const Kind &kind = GetParam();
+    write("");
+    ASSERT_TRUE(openAndAppend(kind.records).ok());
+    std::string expected = kind.headerLine + "\n";
+    for (const std::string &line : kind.records)
+        expected += line + "\n";
+    EXPECT_EQ(contents(), expected);
 }
 
 TEST_P(JournalKinds, IdentityPinRefusesAnotherHeader)

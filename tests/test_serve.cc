@@ -72,6 +72,7 @@ TEST(ServeProtocol, SubmitRoundTripsEveryField)
     request.job.core = "history";
     request.job.configJson = "{\"pool_entries\": 12}";
     request.job.period = 250;
+    request.job.ibuffers = true;
     request.job.deadlineMs = 1234;
     auto parsed = serve::parseRequest(serve::requestToLine(request));
     ASSERT_TRUE(parsed.ok()) << parsed.error().message();
@@ -82,6 +83,7 @@ TEST(ServeProtocol, SubmitRoundTripsEveryField)
     EXPECT_EQ(parsed->job.core, request.job.core);
     EXPECT_EQ(parsed->job.configJson, request.job.configJson);
     EXPECT_EQ(parsed->job.period, request.job.period);
+    EXPECT_EQ(parsed->job.ibuffers, request.job.ibuffers);
     EXPECT_EQ(parsed->job.deadlineMs, request.job.deadlineMs);
 }
 
@@ -94,10 +96,12 @@ TEST(ServeProtocol, DefaultsAreOmittedAndRestored)
     std::string line = serve::requestToLine(request);
     EXPECT_EQ(line.find("period"), std::string::npos);
     EXPECT_EQ(line.find("config"), std::string::npos);
+    EXPECT_EQ(line.find("ibuffers"), std::string::npos);
     auto parsed = serve::parseRequest(line);
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed->job.core, "ruu");
     EXPECT_EQ(parsed->job.period, 0u);
+    EXPECT_FALSE(parsed->job.ibuffers);
     EXPECT_EQ(parsed->job.deadlineMs, 0u);
 }
 
@@ -202,6 +206,7 @@ TEST(ServeCache, KeySeparatesEveryInput)
     EXPECT_TRUE(differs([](auto &i) { i.configJson = "{}"; }));
     EXPECT_TRUE(differs([](auto &i) { i.core = "history"; }));
     EXPECT_TRUE(differs([](auto &i) { i.period = 100; }));
+    EXPECT_TRUE(differs([](auto &i) { i.ibuffers = true; }));
 
     // Field-boundary collisions: moving a character across the
     // name/config boundary must change the key.
@@ -209,6 +214,15 @@ TEST(ServeCache, KeySeparatesEveryInput)
     shifted.displayName = base.displayName + "{";
     shifted.configJson = base.configJson.substr(1);
     EXPECT_NE(serve::cacheKey(shifted), key);
+}
+
+TEST(ServeCache, KeysWithoutIbuffersAreUnchanged)
+{
+    // ibuffers folds into the key only when set, so a cache directory
+    // filled before the field existed stays warm: pinned to the key
+    // these inputs had then.
+    EXPECT_EQ(serve::keyToHex(serve::cacheKey(sampleInputs())),
+              "99ec76c4fc78783e");
 }
 
 TEST_F(ServeDirs, CacheStoresAndLoadsByteIdentically)
@@ -641,6 +655,66 @@ TEST_F(ServeDirs, PeriodicJobIsTheCliStormCellPrunedAlike)
     daemon.join();
 }
 
+TEST_F(ServeDirs, IbuffersJobIsTheColdRunPayload)
+{
+    // `ruusim submit --ibuffers` must print what `ruusim run --ibuffers
+    // --json` prints: the field travels on the wire, reaches the run,
+    // and keys its own cache entry apart from the plain run's.
+    auto cold = [](CoreKind kind, bool ibuffers) {
+        const Workload &workload = *findLivermoreWorkload("lll03");
+        auto core = makeCore(kind, UarchConfig::cray1());
+        RunOptions options;
+        options.modelIBuffers = ibuffers;
+        RunResult run = core->run(workload.trace(), options);
+        return runToJson(workload.name, core->name(), run, core->stats());
+    };
+
+    serve::ServerOptions options;
+    options.socketPath = dir("sock");
+    options.cacheDir = dir("cache");
+    std::thread daemon([&] {
+        auto result = serve::runServer(options);
+        EXPECT_TRUE(result.ok()) << result.error().message();
+    });
+    serve::ServeClient client;
+    connectClient(client, options.socketPath);
+
+    const char *jobs[] = {
+        "{\"op\": \"submit\", \"id\": \"plain\", \"workload\": "
+        "\"lll03\"}",
+        "{\"op\": \"submit\", \"id\": \"ruu\", \"workload\": "
+        "\"lll03\", \"ibuffers\": 1}",
+        "{\"op\": \"submit\", \"id\": \"rstu\", \"workload\": "
+        "\"lll03\", \"core\": \"rstu\", \"ibuffers\": 1}",
+        // The storm cell does not model the buffers: refused, not
+        // silently run without them.
+        "{\"op\": \"submit\", \"id\": \"storm\", \"workload\": "
+        "\"lll03\", \"period\": 256, \"ibuffers\": 1}",
+    };
+    for (const char *job : jobs) {
+        auto ack = client.request(job);
+        ASSERT_TRUE(ack.ok());
+        EXPECT_NE(ack->find("\"ok\": 1"), std::string::npos) << *ack;
+    }
+    ASSERT_TRUE(client.sendLine("{\"op\": \"run\"}").ok());
+    const std::string expected[] = {cold(CoreKind::Ruu, false),
+                                    cold(CoreKind::Ruu, true),
+                                    cold(CoreKind::Rstu, true)};
+    for (const std::string &payload : expected) {
+        flat::Object result = readResult(client);
+        EXPECT_EQ(flat::getString(result, "status").value(), "done");
+        EXPECT_EQ(flat::getNumber(result, "cached").value(), 0u);
+        EXPECT_EQ(flat::getString(result, "payload").value(), payload);
+    }
+    EXPECT_NE(expected[0], expected[1]) << "lll03 should feel the buffers";
+    flat::Object storm = readResult(client);
+    EXPECT_EQ(flat::getString(storm, "status").value(), "rejected");
+    readResult(client); // summary
+
+    ASSERT_TRUE(client.request("{\"op\": \"shutdown\"}").ok());
+    daemon.join();
+}
+
 TEST_F(ServeDirs, EditedProgramUnderOneNameIsNotAStaleCacheHit)
 {
     // fib.s with `sadd S3, S1, S2` edited to `fmul`: the same name,
@@ -817,6 +891,7 @@ TEST(ServeCampaignProtocol, CampaignWatchCancelRoundTrip)
     request.campaign.cores = {"ruu", "history"};
     request.campaign.periods = {16, 1024};
     request.campaign.configJson = "{\"pool_entries\": 12}";
+    request.campaign.ibuffers = true;
     request.campaign.deadlineMs = 777;
     auto parsed = serve::parseRequest(serve::requestToLine(request));
     ASSERT_TRUE(parsed.ok()) << parsed.error().message();
@@ -827,6 +902,7 @@ TEST(ServeCampaignProtocol, CampaignWatchCancelRoundTrip)
     EXPECT_EQ(parsed->campaign.cores, request.campaign.cores);
     EXPECT_EQ(parsed->campaign.periods, request.campaign.periods);
     EXPECT_EQ(parsed->campaign.configJson, request.campaign.configJson);
+    EXPECT_EQ(parsed->campaign.ibuffers, request.campaign.ibuffers);
     EXPECT_EQ(parsed->campaign.deadlineMs, request.campaign.deadlineMs);
 
     for (Op op : {Op::Watch, Op::Cancel}) {
@@ -902,6 +978,33 @@ TEST(ServeQueue, ExpandUnitsIsDeterministicWorkloadMajor)
         EXPECT_TRUE(trials[i].workload.empty())
             << "inject units resolve workloads trial-side";
     }
+}
+
+TEST(ServeQueue, CampaignRecordCarriesIbuffersOnlyWhenSet)
+{
+    // A queue journal written before the field existed must read back,
+    // and resubmits compare by these bytes: unset, the record is the
+    // same line it always was.
+    serve::QueueRecord record;
+    record.campaign.id = "c";
+    record.campaign.kind = serve::CampaignKind::Inject;
+    record.campaign.workloads = {"lll01"};
+    record.campaign.cores = {"ruu"};
+    record.campaign.trials = 4;
+    const std::string plain = serve::queueRecordToLine(record);
+    EXPECT_EQ(plain, "{\"rec\": \"campaign\", \"id\": \"c\", "
+                     "\"ckind\": \"inject\", \"workloads\": \"lll01\", "
+                     "\"cores\": \"ruu\", \"periods\": \"\", "
+                     "\"trials\": 4, \"seed\": 1, \"config\": \"\", "
+                     "\"deadline_ms\": 0}");
+    auto parsed = serve::parseQueueRecordLine(plain);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message();
+    EXPECT_FALSE(parsed->campaign.ibuffers);
+
+    record.campaign.ibuffers = true;
+    parsed = serve::parseQueueRecordLine(serve::queueRecordToLine(record));
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message();
+    EXPECT_TRUE(parsed->campaign.ibuffers);
 }
 
 serve::CampaignSpec
@@ -1349,48 +1452,52 @@ TEST_F(ServeDirs, InjectCampaignUnitsMatchReplayTrialByteExactly)
 
     serve::ServeClient client;
     connectClient(client, options.socketPath);
-    Request request;
-    request.op = Op::Campaign;
-    request.campaign.id = "inject:smoke";
-    request.campaign.kind = serve::CampaignKind::Inject;
-    request.campaign.workloads = {"lll01"};
-    request.campaign.cores = {"simple"};
-    request.campaign.trials = 2;
-    request.campaign.seed = 5;
-    auto ack = client.request(serve::requestToLine(request));
-    ASSERT_TRUE(ack.ok());
-    EXPECT_NE(ack->find("\"units\": 2"), std::string::npos) << *ack;
+    // Without and with the instruction buffers, which must reach every
+    // trial of the second campaign.
+    for (bool ibuffers : {false, true}) {
+        Request request;
+        request.op = Op::Campaign;
+        request.campaign.id = ibuffers ? "inject:ibuf" : "inject:smoke";
+        request.campaign.kind = serve::CampaignKind::Inject;
+        request.campaign.workloads = {"lll01"};
+        request.campaign.cores = {ibuffers ? "ruu" : "simple"};
+        request.campaign.trials = 2;
+        request.campaign.seed = 5;
+        request.campaign.ibuffers = ibuffers;
+        auto ack = client.request(serve::requestToLine(request));
+        ASSERT_TRUE(ack.ok());
+        EXPECT_NE(ack->find("\"units\": 2"), std::string::npos) << *ack;
 
-    // The cold reference: exactly what `ruusim inject --replay-trial`
-    // would report for the same campaign identity.
-    inject::CampaignOptions cold;
-    cold.cores = {CoreKind::Simple};
-    for (const Workload &workload : livermoreWorkloads())
-        if (workload.name == "lll01")
-            cold.workloads = {workload};
-    cold.trials = 2;
-    cold.seed = 5;
+        // The cold reference: exactly what `ruusim inject
+        // --replay-trial` would report for the same campaign identity.
+        inject::CampaignOptions cold;
+        cold.cores = {ibuffers ? CoreKind::Ruu : CoreKind::Simple};
+        cold.workloads = {*findLivermoreWorkload("lll01")};
+        cold.trials = 2;
+        cold.seed = 5;
+        cold.modelIBuffers = ibuffers;
 
-    Request watch;
-    watch.op = Op::Watch;
-    watch.target = "inject:smoke";
-    ASSERT_TRUE(client.sendLine(serve::requestToLine(watch)).ok());
-    for (std::uint64_t trial = 0; trial < 2; ++trial) {
-        flat::Object unit = readResult(client);
-        EXPECT_EQ(flat::getString(unit, "status").value(), "done");
-        auto expected = inject::replayTrial(cold, trial);
-        ASSERT_TRUE(expected.ok()) << expected.error().message();
-        EXPECT_EQ(flat::getString(unit, "payload").value(),
-                  inject::trialToLine(*expected))
-            << "trial " << trial
-            << " diverges from a cold replayTrial";
+        Request watch;
+        watch.op = Op::Watch;
+        watch.target = request.campaign.id;
+        ASSERT_TRUE(client.sendLine(serve::requestToLine(watch)).ok());
+        for (std::uint64_t trial = 0; trial < 2; ++trial) {
+            flat::Object unit = readResult(client);
+            EXPECT_EQ(flat::getString(unit, "status").value(), "done");
+            auto expected = inject::replayTrial(cold, trial);
+            ASSERT_TRUE(expected.ok()) << expected.error().message();
+            EXPECT_EQ(flat::getString(unit, "payload").value(),
+                      inject::trialToLine(*expected))
+                << "trial " << trial << (ibuffers ? " with" : " without")
+                << " ibuffers diverges from a cold replayTrial";
+        }
+        flat::Object summary = readResult(client);
+        EXPECT_EQ(flat::getNumber(summary, "ok").value(), 1u);
     }
-    flat::Object summary = readResult(client);
-    EXPECT_EQ(flat::getNumber(summary, "ok").value(), 1u);
 
     ASSERT_TRUE(client.request("{\"op\": \"shutdown\"}").ok());
     daemon.join();
-    EXPECT_EQ(stats.unitsDone, 2u);
+    EXPECT_EQ(stats.unitsDone, 4u);
 }
 
 TEST_F(ServeDirs, SigkillMidCampaignRecoversByteIdentically)
