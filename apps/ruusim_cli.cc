@@ -262,6 +262,18 @@ parseArgs(int argc, char **argv)
                 usage();
             return argv[++i];
         };
+        // Numbers read as strtoull reads them (junk is 0); a list must
+        // name at least one, and every item must be a number.
+        auto number = [&] {
+            return std::strtoull(value().c_str(), nullptr, 10);
+        };
+        auto numbers = [&] {
+            std::vector<std::uint64_t> list =
+                orFail(flat::splitNumbers(value()));
+            if (list.empty())
+                usage();
+            return list;
+        };
         if (arg == "--core") {
             cli.core = parseName(coreKindFromName, "core", value());
             cli.coreSet = true;
@@ -270,8 +282,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--no-prune") {
             cli.noPrune = true;
         } else if (arg == "--points") {
-            cli.sweepPoints =
-                static_cast<std::size_t>(atoi(value().c_str()));
+            cli.sweepPoints = number();
             cli.pointsSet = true;
         } else if (arg == "--config") {
             std::string path = value();
@@ -283,22 +294,18 @@ parseArgs(int argc, char **argv)
             }
             cli.config = parsed.take();
         } else if (arg == "--entries") {
-            unsigned n = static_cast<unsigned>(atoi(value().c_str()));
+            unsigned n = static_cast<unsigned>(number());
             cli.config.poolEntries = n;
             cli.config.historyEntries = n;
             cli.config.tuEntries = n;
         } else if (arg == "--buses") {
-            cli.config.resultBuses =
-                static_cast<unsigned>(atoi(value().c_str()));
+            cli.config.resultBuses = static_cast<unsigned>(number());
         } else if (arg == "--banks") {
-            cli.config.memoryBanks =
-                static_cast<unsigned>(atoi(value().c_str()));
+            cli.config.memoryBanks = static_cast<unsigned>(number());
         } else if (arg == "--load-regs") {
-            cli.config.loadRegisters =
-                static_cast<unsigned>(atoi(value().c_str()));
+            cli.config.loadRegisters = static_cast<unsigned>(number());
         } else if (arg == "--counter-bits") {
-            cli.config.counterBits =
-                static_cast<unsigned>(atoi(value().c_str()));
+            cli.config.counterBits = static_cast<unsigned>(number());
         } else if (arg == "--bypass") {
             cli.config.bypass =
                 parseName(bypassFromName, "bypass mode", value());
@@ -306,27 +313,23 @@ parseArgs(int argc, char **argv)
             cli.config.predictor =
                 parseName(predictorFromName, "predictor", value());
         } else if (arg == "--cores") {
-            std::stringstream list(value());
-            std::string item;
-            while (std::getline(list, item, ','))
+            for (const std::string &item : flat::splitCommas(value()))
                 cli.cores.push_back(coreKindName(
                     parseName(coreKindFromName, "core", item)));
             if (cli.cores.empty())
                 usage();
         } else if (arg == "--trials") {
-            cli.trials = std::strtoull(value().c_str(), nullptr, 10);
+            cli.trials = number();
         } else if (arg == "--seed") {
-            cli.seed = std::strtoull(value().c_str(), nullptr, 10);
+            cli.seed = number();
         } else if (arg == "--journal") {
             cli.journal = value();
         } else if (arg == "--timeout-ms") {
-            cli.timeoutMs =
-                static_cast<unsigned>(atoi(value().c_str()));
+            cli.timeoutMs = static_cast<unsigned>(number());
         } else if (arg == "--stop-after") {
-            cli.stopAfter = std::strtoull(value().c_str(), nullptr, 10);
+            cli.stopAfter = number();
         } else if (arg == "--replay-trial") {
-            cli.replayTrial =
-                std::strtoull(value().c_str(), nullptr, 10);
+            cli.replayTrial = number();
             cli.replaySet = true;
         } else if (arg == "--bench-out") {
             cli.benchOut = value();
@@ -335,16 +338,13 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--cache") {
             cli.cacheDir = value();
         } else if (arg == "--queue-limit") {
-            cli.queueLimit =
-                static_cast<std::size_t>(atoi(value().c_str()));
+            cli.queueLimit = number();
         } else if (arg == "--deadline-ms") {
-            cli.deadlineMs =
-                static_cast<unsigned>(atoi(value().c_str()));
+            cli.deadlineMs = static_cast<unsigned>(number());
         } else if (arg == "--max-connections") {
-            cli.maxConnections =
-                std::strtoull(value().c_str(), nullptr, 10);
+            cli.maxConnections = number();
         } else if (arg == "--period") {
-            cli.period = std::strtoull(value().c_str(), nullptr, 10);
+            cli.period = number();
         } else if (arg == "--queue") {
             cli.queuePath = value();
         } else if (arg == "--campaign") {
@@ -356,13 +356,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--cancel") {
             cli.cancelId = value();
         } else if (arg == "--periods") {
-            std::stringstream list(value());
-            std::string item;
-            while (std::getline(list, item, ','))
-                cli.periods.push_back(
-                    std::strtoull(item.c_str(), nullptr, 10));
-            if (cli.periods.empty())
-                usage();
+            cli.periods = numbers();
         } else if (arg == "--status") {
             cli.statusOnly = true;
         } else if (arg == "--ping") {
@@ -379,13 +373,8 @@ parseArgs(int argc, char **argv)
             cli.werror = true;
         } else if (arg == "--sizes") {
             cli.sizes.clear();
-            std::stringstream list(value());
-            std::string item;
-            while (std::getline(list, item, ','))
-                cli.sizes.push_back(
-                    static_cast<unsigned>(atoi(item.c_str())));
-            if (cli.sizes.empty())
-                usage();
+            for (std::uint64_t size : numbers())
+                cli.sizes.push_back(static_cast<unsigned>(size));
         } else if (!arg.empty() && arg[0] == '-') {
             usage();
         } else {
@@ -1225,6 +1214,8 @@ submitCampaign(serve::ServeClient &client, const Cli &cli)
                     workload.c_str());
 
     if (spec.kind == serve::CampaignKind::Storm) {
+        if (cli.ibuffers)
+            cliFail("--ibuffers applies to run and inject campaigns only");
         spec.periods = cli.periods;
         if (spec.periods.empty()) {
             // The periods `ruusim storm --points` runs.

@@ -1,5 +1,7 @@
 #include "serve/protocol.hh"
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 
 namespace ruu::serve
@@ -110,25 +112,14 @@ parseRequest(const std::string &line)
         return Error(op.error()).context("request");
 
     Request request;
-    if (*op == "ping") {
-        request.op = Op::Ping;
-    } else if (*op == "status") {
-        request.op = Op::Status;
-    } else if (*op == "run") {
-        request.op = Op::Run;
-    } else if (*op == "shutdown") {
-        request.op = Op::Shutdown;
-    } else if (*op == "submit") {
-        request.op = Op::Submit;
-    } else if (*op == "campaign") {
-        request.op = Op::Campaign;
-    } else if (*op == "watch") {
-        request.op = Op::Watch;
-    } else if (*op == "cancel") {
-        request.op = Op::Cancel;
-    } else {
+    const Op kOps[] = {Op::Ping,  Op::Status,   Op::Submit,
+                       Op::Run,   Op::Shutdown, Op::Campaign,
+                       Op::Watch, Op::Cancel};
+    const Op *known = std::find_if(std::begin(kOps), std::end(kOps),
+                                   [&](Op o) { return *op == opName(o); });
+    if (known == std::end(kOps))
         return Error("request: unknown op '" + *op + "'");
-    }
+    request.op = *known;
 
     if (request.op == Op::Watch || request.op == Op::Cancel) {
         // Exactly the op and the campaign id, nothing else.

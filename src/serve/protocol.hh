@@ -38,8 +38,9 @@
  * submitting client, so everything must resolve server-side);
  * "periods" (storm only) is a comma list of arrival periods; "trials"
  * and "seed" (inject only) size the trial sweep; "config",
- * "ibuffers" and "deadline_ms" are as for submit. The daemon acks with the unit
- * count and executes in the background; "watch" streams one
+ * "ibuffers" and "deadline_ms" are as for submit ("ibuffers" refused
+ * on a storm campaign). The daemon acks with the unit count and
+ * executes in the background; "watch" streams one
  * {"op": "unit", ...} line per unit in unit order, then a
  * {"op": "watch", ...} summary; "cancel" voids units not yet
  * dispatched.

@@ -61,25 +61,20 @@ expandUnits(const CampaignSpec &spec)
         }
         return units;
     }
+    // A run campaign is one plain (period 0) unit per pair.
+    const std::vector<std::uint64_t> periods =
+        spec.kind == CampaignKind::Storm ? spec.periods
+                                         : std::vector<std::uint64_t>{0};
     for (const std::string &workload : spec.workloads)
-        for (const std::string &core : spec.cores) {
-            if (spec.kind == CampaignKind::Storm) {
-                for (std::uint64_t period : spec.periods) {
-                    WorkUnit unit;
-                    unit.index = units.size();
-                    unit.workload = workload;
-                    unit.core = core;
-                    unit.period = period;
-                    units.push_back(std::move(unit));
-                }
-            } else {
+        for (const std::string &core : spec.cores)
+            for (std::uint64_t period : periods) {
                 WorkUnit unit;
                 unit.index = units.size();
                 unit.workload = workload;
                 unit.core = core;
+                unit.period = period;
                 units.push_back(std::move(unit));
             }
-        }
     return units;
 }
 
@@ -323,6 +318,11 @@ CampaignQueue::open(const std::string &path, const std::string &cacheDir,
 Expected<std::uint64_t>
 CampaignQueue::submit(const CampaignSpec &spec, std::uint64_t unitLimit)
 {
+    // Every storm unit is periodic, and periodic jobs model no
+    // instruction buffers: refuse once here, not once per unit.
+    if (spec.kind == CampaignKind::Storm && spec.ibuffers)
+        return Error("ibuffers applies to run and inject campaigns, not "
+                     "storm");
     std::lock_guard<std::mutex> lock(_mutex);
     if (CampaignEntry *existing = findLocked(spec.id)) {
         if (specCanon(existing->spec) == specCanon(spec))

@@ -233,7 +233,7 @@ Server::runJob(const JobSpec &spec, std::size_t index)
         return out;
     }
     const ResolvedJob &job = *resolved;
-    out.key = cacheKey(job.key);
+    out.key = jobKey(job);
     if (fromCache(out))
         return out;
 

@@ -7,6 +7,7 @@
 #include "engine/engine.hh"
 #include "kernels/lll.hh"
 #include "lint/dataflow_bound.hh"
+#include "serve/cache.hh"
 #include "sim/json.hh"
 #include "trap/storm.hh"
 
@@ -113,20 +114,25 @@ resolveJob(const serve::JobSpec &spec)
     auto workload = resolveWorkload(spec);
     if (!workload)
         return workload.error();
-    ResolvedJob job{*core, workload.take(), config.take(), {}, spec.period,
-                    {}};
+    ResolvedJob job{*core, workload.take(), config.take(), {}, spec.period};
     job.options.modelIBuffers = spec.ibuffers;
-
-    const Trace &trace = job.workload->trace();
-    job.key.displayName = job.workload->name;
-    job.key.traceFingerprint = lint::boundTraceFingerprint(trace);
-    job.key.traceLength = trace.size();
-    job.key.configJson = configToJson(job.config);
-    job.key.core = coreKindName(job.core);
-    job.key.period = job.period;
-    job.key.ibuffers = spec.ibuffers;
-    job.key.engineVersion = engine::kStreamFormatVersion;
     return job;
+}
+
+std::uint64_t
+jobKey(const ResolvedJob &job)
+{
+    const Trace &trace = job.workload->trace();
+    serve::CacheKeyInputs inputs;
+    inputs.displayName = job.workload->name;
+    inputs.traceFingerprint = lint::boundTraceFingerprint(trace);
+    inputs.traceLength = trace.size();
+    inputs.configJson = configToJson(job.config);
+    inputs.core = coreKindName(job.core);
+    inputs.period = job.period;
+    inputs.ibuffers = job.options.modelIBuffers;
+    inputs.engineVersion = engine::kStreamFormatVersion;
+    return serve::cacheKey(inputs);
 }
 
 JobResult

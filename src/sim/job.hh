@@ -12,6 +12,7 @@
 #ifndef RUU_SIM_JOB_HH
 #define RUU_SIM_JOB_HH
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -19,7 +20,6 @@
 
 #include "common/error.hh"
 #include "inject/campaign.hh"
-#include "serve/cache.hh"
 #include "serve/protocol.hh"
 #include "sim/machine.hh"
 
@@ -64,11 +64,17 @@ struct ResolvedJob
     std::shared_ptr<const Workload> workload;
     UarchConfig config;
     RunOptions options;
-    Cycle period = 0;          //!< interrupt period; 0 = plain run
-    serve::CacheKeyInputs key; //!< everything the payload depends on
+    Cycle period = 0; //!< interrupt period; 0 = plain run
 };
 
 Expected<ResolvedJob> resolveJob(const serve::JobSpec &spec);
+
+/**
+ * The cache key of @p job: a hash of everything its payload depends
+ * on, the workload's full trace content included. Only ruusimd needs
+ * it, so resolveJob leaves the trace unhashed.
+ */
+std::uint64_t jobKey(const ResolvedJob &job);
 
 /** What executeJob produced. */
 struct JobResult

@@ -32,6 +32,23 @@ configToJson(const UarchConfig &config)
     os << ", \"branch_taken_penalty\": " << config.branchTakenPenalty;
     os << ", \"branch_untaken_penalty\": "
        << config.branchUntakenPenalty;
+    // Knobs that joined after this text became part of cache keys and
+    // journal headers are written only where they leave cray1, so a
+    // configuration that keeps them at cray1's values prints as before.
+    const UarchConfig cray1 = UarchConfig::cray1();
+    auto knob = [&](const char *key, unsigned value, unsigned base) {
+        if (value != base)
+            os << ", \"" << key << "\": " << value;
+    };
+    knob("bank_busy_cycles", config.bankBusyCycles, cray1.bankBusyCycles);
+    knob("store_latency", config.storeLatency, cray1.storeLatency);
+    knob("forward_latency", config.forwardLatency, cray1.forwardLatency);
+    knob("predictor_table_bits", config.predictorTableBits,
+         cray1.predictorTableBits);
+    knob("predicted_taken_penalty", config.predictedTakenPenalty,
+         cray1.predictedTakenPenalty);
+    knob("mispredict_penalty", config.mispredictPenalty,
+         cray1.mispredictPenalty);
     os << ", \"fu_latency\": {";
     for (unsigned i = 0; i + 1 < kNumFuKinds; ++i) {
         os << (i ? ", " : "") << "\""

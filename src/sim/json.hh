@@ -16,7 +16,12 @@
 namespace ruu
 {
 
-/** Serialize @p config as a JSON object. */
+/**
+ * Serialize @p config as a JSON object holding every knob
+ * parseUarchConfig reads; the knobs that joined last (bank busy time,
+ * store and forward latency, predictor table bits and penalties) only
+ * when they differ from UarchConfig::cray1().
+ */
 std::string configToJson(const UarchConfig &config);
 
 /**

@@ -349,6 +349,11 @@ TEST(CliErrors, ServeSubmitRoundTripObeysTheExitContract)
     EXPECT_EQ(
         runCli("submit --socket cli_serve.sock --campaign run cli_bad.s"),
         2);
+    // Storm units are all periodic: --ibuffers is refused once, up
+    // front, not once per unit.
+    EXPECT_EQ(runCli("submit --socket cli_serve.sock "
+                     "--campaign storm lll01 --ibuffers"),
+              2);
     // Watching or canceling a campaign nobody submitted is a job-level
     // failure — the daemon answers with a diagnostic: status 1.
     EXPECT_EQ(runCli("submit --socket cli_serve.sock --watch ghost"), 1);
@@ -381,6 +386,18 @@ TEST(CliErrors, ServeSubmitRoundTripObeysTheExitContract)
         ++onSimple;
     EXPECT_EQ(onSimple, 4u) << trials;
     EXPECT_EQ(runCli("submit --socket cli_serve.sock --ping"), 0);
+
+    // Every --config knob reaches the run, and the served job is the
+    // same run: a slower store changes history's cycles on lll03.
+    writeFile("cli_store.json", "{\"store_latency\": 3}\n");
+    const std::string plain = cliOutput("run lll03 --core history --json");
+    const std::string slow = cliOutput(
+        "run lll03 --core history --json --config cli_store.json");
+    EXPECT_NE(slow.find("\"cycles\": "), std::string::npos) << slow;
+    EXPECT_NE(slow, plain);
+    EXPECT_EQ(cliOutput("submit lll03 --core history --config "
+                        "cli_store.json --socket cli_serve.sock"),
+              slow);
 
     EXPECT_EQ(runCli("submit --socket cli_serve.sock --stop"), 0);
 }

@@ -47,12 +47,35 @@ TEST(Json, ConfigSerializesEveryKnob)
     config.poolEntries = 42;
     config.bypass = BypassMode::LimitedA;
     config.memoryBanks = 8;
+    config.bankBusyCycles = 8;
+    config.storeLatency = 3;
+    config.forwardLatency = 2;
+    config.predictorTableBits = 6;
+    config.predictedTakenPenalty = 2;
+    config.mispredictPenalty = 7;
     std::string json = configToJson(config);
     expectBalanced(json);
     EXPECT_NE(json.find("\"pool_entries\": 42"), std::string::npos);
     EXPECT_NE(json.find("\"bypass\": \"limited_a\""), std::string::npos);
     EXPECT_NE(json.find("\"memory_banks\": 8"), std::string::npos);
     EXPECT_NE(json.find("\"fp_recip\": 14"), std::string::npos);
+    EXPECT_NE(json.find("\"store_latency\": 3"), std::string::npos);
+
+    // Every knob round-trips through the parser `--config` uses.
+    auto parsed = parseUarchConfig(json);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message();
+    EXPECT_EQ(parsed->bankBusyCycles, 8u);
+    EXPECT_EQ(parsed->storeLatency, 3u);
+    EXPECT_EQ(parsed->forwardLatency, 2u);
+    EXPECT_EQ(parsed->predictorTableBits, 6u);
+    EXPECT_EQ(parsed->predictedTakenPenalty, 2u);
+    EXPECT_EQ(parsed->mispredictPenalty, 7u);
+    EXPECT_EQ(configToJson(*parsed), json);
+
+    // The late knobs are written only off cray1, so cray1's text (in
+    // every cache key and journal header) is the text it always was.
+    EXPECT_EQ(configToJson(UarchConfig::cray1()).find("store_latency"),
+              std::string::npos);
 }
 
 TEST(Json, RunSerializesResultsAndStats)

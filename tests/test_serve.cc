@@ -1104,6 +1104,21 @@ TEST(ServeQueue, ResubmitIsIdempotentDivergentSpecAndOverflowRefused)
     EXPECT_FALSE(queue.cancel("nope").ok());
 }
 
+TEST(ServeQueue, StormCampaignWithIbuffersIsRefusedAtAdmission)
+{
+    serve::CampaignQueue queue;
+    ASSERT_TRUE(queue.open("", "", nullptr).ok());
+    serve::CampaignSpec storm = tinyCampaign("s");
+    storm.kind = serve::CampaignKind::Storm;
+    storm.periods = {64};
+    storm.ibuffers = true;
+    auto refused = queue.submit(storm, 1024);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_NE(refused.error().message().find("ibuffers"),
+              std::string::npos);
+    EXPECT_EQ(queue.stats().campaigns, 0u);
+}
+
 /** Read a queue journal's records back through the shared reader. */
 Expected<journal::Extent>
 readQueueJournal(const std::string &path,
